@@ -30,8 +30,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SEED = 7
 N_CHIPS = 2
 
-#: Checkpointed cases after which the campaign is killed (chip-1's
-#: baseline + first case land first with --workers 1).
+#: Checkpointed cases after which the campaign is killed (chips run in
+#: order, so chip-1's baseline + first case land first).
 KILL_AFTER_CASES = 2
 
 
@@ -52,7 +52,7 @@ def test_kill_mid_campaign_then_resume(tmp_path):
     process = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "campaign",
-            "--seed", str(SEED), "--chips", str(N_CHIPS), "--workers", "1",
+            "--seed", str(SEED), "--chips", str(N_CHIPS),
             "--checkpoint", str(checkpoint), "--quiet",
         ],
         cwd=ROOT,

@@ -3,7 +3,7 @@
 "Approximate" is deliberate: Python call targets are not statically
 decidable, so the graph over-approximates in the directions that keep
 the downstream passes *sound for their purpose* (reachability from
-thread-pool workers):
+pool workers):
 
 * bare names resolve through the module binding tables (local defs,
   ``from m import f`` symbols, ``m.f`` attribute calls on imported

@@ -1,9 +1,9 @@
 """The deterministic-merge registry: types workers may safely mutate.
 
-The parallel campaign's bit-identity contract rests on one discipline:
-anything a worker accumulates is merged *after* all workers finish, in
-chip order, through an operation whose result does not depend on worker
-scheduling.  The types below register the merge operation that makes
+The sharded fleet campaign's bit-identity contract rests on one
+discipline: anything a worker accumulates is merged *after* all workers
+finish, in chip order, through an operation whose result does not depend
+on worker scheduling.  The types below register the merge operation that makes
 them safe; the shared-state pass (RPR3xx) exempts mutations of objects
 whose static type is registered here and flags everything else.
 
@@ -29,16 +29,10 @@ class MergeRule:
     note: str = ""
 
 
-#: The repo's deterministic-merge vocabulary (see repro.lab.campaign's
-#: merge discipline and MetricsRegistry.merge).
+#: The repo's deterministic-merge vocabulary (see the chip-order merge in
+#: repro.lab.fleet.run_fleet_campaign).
 DEFAULT_MERGES: tuple[MergeRule, ...] = (
     MergeRule("DataLog", "DataLog.merge", "stable shard concatenation in chip order"),
-    MergeRule("Tracer", "Tracer.absorb", "span renumbering + registry merge"),
-    MergeRule("MetricsRegistry", "MetricsRegistry.merge", "counters add, gauges last"),
-    MergeRule("Counter", "MetricsRegistry.merge", "sums add exactly"),
-    MergeRule("Gauge", "MetricsRegistry.merge", "merged value is the child's"),
-    MergeRule("Histogram", "Histogram.merge_from", "counts/sums/buckets add exactly"),
-    MergeRule("DerivedGauge", "MetricsRegistry.merge", "ratio of merged operands"),
     # Fleet engine (repro.lab.fleet): each shard owns a contiguous chip
     # range, so its state never crosses workers; the parent reassembles
     # shard outputs in chip order, which makes the merge scheduling-free.

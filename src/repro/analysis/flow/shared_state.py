@@ -1,20 +1,25 @@
-"""RPR3xx — thread-shared mutable state reachable from campaign workers.
+"""RPR3xx — shared mutable state reachable from pool workers.
 
-The parallel campaign (``repro.lab.campaign``) fans chips out to a
-``ThreadPoolExecutor`` and promises bit-identity with the sequential
-path.  That promise only holds if workers never race on shared state:
+The fleet engine (``repro.lab.fleet``) fans contiguous chip ranges out
+to a ``ProcessPoolExecutor`` with ``pool.map(_shard_worker, jobs)`` and
+promises results bit-identical for any shard count.  That promise only
+holds if a worker's result never depends on state another task wrote:
 everything a worker writes must be worker-owned (created inside the
 task, or passed in per-task) or covered by a registered deterministic
-merge (:mod:`repro.analysis.flow.merge`).
+merge (:mod:`repro.analysis.flow.merge`).  Process workers do not share
+memory, but a write to module or class state still leaks between the
+tasks one process runs, and the same code under a thread pool would
+race outright — so the rules flag both.
 
-This pass finds the worker entry points (first argument of every
-``pool.submit(...)`` call in the project), computes the set of functions
-reachable from them over the approximate call graph, and inside that set
-flags the write shapes that break the contract:
+This pass finds the worker entry points (the first argument of every
+``pool.submit(worker, ...)`` and ``pool.map(worker, iterable)`` call in
+the project), computes the set of functions reachable from them over the
+approximate call graph, and inside that set flags the write shapes that
+break the contract:
 
 ==========  ==========================================================
 RPR301      write to a ``global``-declared name from worker-reachable
-            code — every worker races on the same module slot
+            code — every task writes the same module slot
 RPR302      write to a class-level attribute (``Klass.attr = ...``) —
             shared by every instance across every worker
 RPR303      write to a ``nonlocal`` name — workers race on the closure
@@ -24,7 +29,8 @@ RPR304      in-place mutation of a module-level object (``LOG.append``,
 RPR305      in-place mutation of a submit argument that is *shared*
             (its expression at the submit site does not depend on the
             per-task loop variable) and whose annotated type has no
-            registered merge
+            registered merge; ``map`` items are per task, so a mapped
+            worker has no shared arguments
 ==========  ==========================================================
 """
 
@@ -88,7 +94,7 @@ def _finding(rule_id: str, path: str, line: int, message: str, suggestion: str) 
 
 @dataclass
 class WorkerEntry:
-    """One worker function with the submit site that launches it."""
+    """One worker function with the submit or map site that launches it."""
 
     qualname: str
     submitter: str
@@ -122,7 +128,7 @@ def _worker_params(info: FunctionInfo) -> list[ast.arg]:
 
 
 def find_worker_entries(project: Project, graph: CallGraph) -> list[WorkerEntry]:
-    """Every ``pool.submit(worker, ...)`` target in the project."""
+    """Every ``pool.submit(worker, ...)`` and ``pool.map(worker, ...)`` target."""
     entries: list[WorkerEntry] = []
     for qualname in sorted(graph.functions):
         submitter = graph.functions[qualname]
@@ -132,7 +138,7 @@ def find_worker_entries(project: Project, graph: CallGraph) -> list[WorkerEntry]
             if not (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "submit"
+                and node.func.attr in ("submit", "map")
                 and node.args
             ):
                 continue
@@ -148,14 +154,16 @@ def find_worker_entries(project: Project, graph: CallGraph) -> list[WorkerEntry]
                 submitter=submitter.qualname,
                 line=node.lineno,
             )
-            params = _worker_params(worker)
-            for arg_node, param in zip(node.args[1:], params):
-                if _mentions_any(arg_node, loop_vars):
-                    continue  # per-task value: worker-owned
-                annotation = (
-                    ast.unparse(param.annotation) if param.annotation else ""
-                )
-                entry.shared_params[param.arg] = annotation
+            # A mapped worker takes one item per task, so only submit
+            # sites can pass it arguments shared across tasks.
+            if node.func.attr == "submit":
+                for arg_node, param in zip(node.args[1:], _worker_params(worker)):
+                    if _mentions_any(arg_node, loop_vars):
+                        continue  # per-task value: worker-owned
+                    annotation = (
+                        ast.unparse(param.annotation) if param.annotation else ""
+                    )
+                    entry.shared_params[param.arg] = annotation
             entries.append(entry)
     return entries
 

@@ -251,7 +251,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     print(f"running the Table 1 campaign on {args.chips} chips...")
     result = run_table1_campaign(seed=args.seed, n_chips=args.chips,
                                  tracer=tracer, progress=progress,
-                                 workers=args.workers,
                                  **_resilience_kwargs(args))
     print(f"done: {len(result.log)} measurements over {len(result.chips)} chips")
     _print_quarantine(result)
@@ -279,7 +278,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     print(f"running the Table 1 campaign on {args.chips} chips (instrumented)...")
     result = run_table1_campaign(seed=args.seed, n_chips=args.chips,
                                  tracer=tracer, progress=progress,
-                                 workers=args.workers,
                                  **_resilience_kwargs(args))
     print(f"done: {len(result.log)} measurements over {len(result.chips)} chips")
     _print_quarantine(result)
@@ -391,7 +389,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     print(f"running the Table 1 campaign on {args.chips} chips (instrumented)...")
     result = run_table1_campaign(seed=args.seed, n_chips=args.chips,
                                  tracer=tracer, progress=progress,
-                                 workers=args.workers,
                                  **_resilience_kwargs(args))
     print(f"done: {len(result.log)} measurements over {len(result.chips)} chips")
     _print_quarantine(result)
@@ -599,13 +596,6 @@ def build_parser() -> argparse.ArgumentParser:
         parser.add_argument("--seed", type=int, default=0, help="campaign seed")
         parser.add_argument(
             "--chips", type=int, default=5, help="number of chips on the bench"
-        )
-        parser.add_argument(
-            "--workers",
-            type=int,
-            default=1,
-            help="worker threads running chips concurrently (bit-identical "
-            "to sequential for the same seed)",
         )
         parser.add_argument("--trace", help="write a JSONL span trace to this file")
         parser.add_argument(

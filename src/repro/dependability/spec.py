@@ -136,7 +136,6 @@ class SweepSpec:
     engine: str = "table1"
     n_chips: int = 2
     include_baseline: bool = False
-    workers: int = 1
     retries: int = 3
     retry_backoff_s: float = 5.0
     guard_budget: int = 2
@@ -271,8 +270,6 @@ def validate_sweep_spec(spec: SweepSpec) -> list[Finding]:
         )
     if spec.n_chips < 1:
         findings.append(_finding("RPR105", f"n_chips must be >= 1, got {spec.n_chips}"))
-    if spec.workers < 1:
-        findings.append(_finding("RPR105", f"workers must be >= 1, got {spec.workers}"))
     if spec.retries < 1:
         findings.append(_finding("RPR105", f"retries must be >= 1, got {spec.retries}"))
     if spec.retry_backoff_s < 0.0:

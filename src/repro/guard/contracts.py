@@ -8,9 +8,8 @@ Inf) and a scalar contract costs two comparisons.  All the expensive
 work — building messages, snapshotting arrays, writing bundles — lives
 on the violation slow path.
 
-Guards are not thread-safe (violation counts and budgets are per chip);
-campaigns build one guard per chip, mirroring the one-tracer-per-worker
-rule in :mod:`repro.obs`.
+Guards are not thread-safe; campaigns build one guard per chip, so
+violation counts and budgets are per chip.
 """
 
 from __future__ import annotations

@@ -1,16 +1,18 @@
 """Multi-chip campaign runner reproducing the paper's Table 1 schedule.
 
 Chips on the bench are fully independent — each owns its chip, testbench
-and RNG child streams — so the campaign can run them sequentially (the
-default) or fan them out to worker threads with ``workers=N``.  The
-parallel path is bit-identical to the sequential one for the same seed:
-seed derivation, per-chip execution order and the merged log order do not
-depend on how workers are scheduled.
+and RNG child streams — so the campaign runs one chip's whole schedule
+(baseline burn-in, then its Table 1 cases) at a time, in chip order, and
+merges the per-chip logs as every baseline followed by every case.
+Faults, retries, checkpoints, physics guards and the determinism
+sanitizer all ride on that one per-chip schedule.  To spread a lot over
+cores, use the fleet engine's process shards
+(:func:`repro.lab.fleet.run_fleet_campaign`), which at exact fidelity is
+bit-identical to this runner for the same seed.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,21 +45,35 @@ from repro.lab.schedule import (
     baseline_phase,
     standard_case,
 )
-from repro.obs import NULL_PROGRESS, NULL_TRACER, ProgressReporter, Tracer, get_tracer
+from repro.obs import NULL_PROGRESS, ProgressReporter, get_tracer
 from repro.obs.profile import CaseThroughputSampler
 from repro.units import hours
 
 
-def _chip_guard(config, tracer, chip_id: str) -> Guard | None:
-    """A per-chip :class:`Guard` for ``config``, or ``None`` (ambient).
+def _build_chip(
+    chip_no: int,
+    variation: ProcessVariation,
+    chip_stream: np.random.Generator,
+    tracer,
+    guard: GuardConfig | None = None,
+    tech: TechnologyParameters = TECH_40NM,
+) -> FpgaChip:
+    """Chip ``chip-<chip_no>``, seeded by one draw from ``chip_stream``.
 
-    One guard per chip keeps violation counts and budgets chip-local —
-    the quarantine decision must not depend on what other chips did —
-    and makes the checks thread-safe in parallel campaigns.
+    A ``guard`` config gets its own :class:`Guard` per chip, so violation
+    counts and budgets stay chip-local: the quarantine decision must not
+    depend on what other chips did.  ``None`` leaves the chip on the
+    ambient guard.
     """
-    if config is None:
-        return None
-    return Guard(config, tracer=tracer, owner=chip_id)
+    chip_id = f"chip-{chip_no}"
+    return FpgaChip(
+        chip_id,
+        tech=tech,
+        variation=variation,
+        seed=int(chip_stream.integers(2**31)),
+        tracer=tracer,
+        guard=Guard(guard, tracer=tracer, owner=chip_id) if guard is not None else None,
+    )
 
 
 def _run_case_phases(
@@ -71,9 +87,9 @@ def _run_case_phases(
 ) -> None:
     """Execute one case's phases on a bench inside a ``case`` span.
 
-    The single definition of the case-span discipline, shared by the
-    sequential :class:`Campaign` methods and the parallel chip workers.
-    The throughput sampler turns the case's counter deltas into per-case
+    The single definition of the case-span discipline, shared by
+    :meth:`Campaign.run_case` and the per-chip campaign schedule.  The
+    throughput sampler turns the case's counter deltas into per-case
     derived gauges (measurements/s, trap updates/s) — a no-op on the
     null tracer.  With a live ``sanitizer`` every finished phase is
     hashed (records + trap + RNG state) into a ``state_hash`` span
@@ -102,8 +118,8 @@ class CampaignResult:
     dropout, retries exhausted) — their measurements up to the failure are
     kept in ``log``, and the campaign completes on the survivors.
     ``state_hashes`` is populated only under ``sanitize=True``: one
-    digest per ``chip/seq`` phase boundary, identical across sequential
-    and parallel runs of the same seed.
+    digest per ``chip/seq`` phase boundary, identical across runs of
+    the same seed (and across the exact fleet engine).
     """
 
     log: DataLog
@@ -164,6 +180,10 @@ class CampaignResult:
 class Campaign:
     """A set of chips, their testbenches, and a shared data log.
 
+    The interactive counterpart of :func:`run_table1_campaign`: chips are
+    built and seeded exactly as the campaign builds them, and
+    :meth:`run_case` runs any case on its chip.
+
     Parameters
     ----------
     n_chips:
@@ -176,15 +196,6 @@ class Campaign:
     tracer:
         Telemetry sink shared by the chips and benches; defaults to the
         process tracer (a no-op unless one was installed).
-    guard:
-        Physics-contract policy (:class:`~repro.guard.GuardConfig`); each
-        chip gets its own :class:`~repro.guard.Guard` instance so
-        violation counts and budgets are per chip.  ``None`` leaves the
-        chips on the ambient guard.
-    sanitizer:
-        A :class:`~repro.lab.sanitizer.DeterminismSanitizer` to hash
-        per-chip state at phase boundaries; defaults to the inert
-        ``NULL_SANITIZER``.
     """
 
     def __init__(
@@ -194,14 +205,11 @@ class Campaign:
         variation: ProcessVariation | None = None,
         seed: int | None = 0,
         tracer=None,
-        guard: GuardConfig | None = None,
-        sanitizer=None,
     ) -> None:
         if n_chips <= 0:
             raise ScheduleError(f"n_chips must be positive, got {n_chips}")
         master = np.random.default_rng(seed)
         self.tracer = tracer if tracer is not None else get_tracer()
-        self.sanitizer = sanitizer if sanitizer is not None else NULL_SANITIZER
         self.log = DataLog()
         self.chips: dict[str, FpgaChip] = {}
         self.benches: dict[str, VirtualTestbench] = {}
@@ -210,19 +218,11 @@ class Campaign:
         )
         variation = variation if variation is not None else ProcessVariation()
         for index in range(n_chips):
-            chip_seed, bench_seed = master.spawn(2)
-            chip_id = f"chip-{index + 1}"
-            chip = FpgaChip(
-                chip_id,
-                tech=tech,
-                variation=variation,
-                seed=int(chip_seed.integers(2**31)),
-                tracer=self.tracer,
-                guard=_chip_guard(guard, self.tracer, chip_id),
-            )
-            self.chips[chip_id] = chip
-            self.benches[chip_id] = VirtualTestbench(
-                chip, rng=bench_seed, tracer=self.tracer
+            chip_stream, bench_stream = master.spawn(2)
+            chip = _build_chip(index + 1, variation, chip_stream, self.tracer, tech=tech)
+            self.chips[chip.chip_id] = chip
+            self.benches[chip.chip_id] = VirtualTestbench(
+                chip, rng=bench_stream, tracer=self.tracer
             )
         self.fresh_delays = {cid: chip.fresh_path_delay for cid, chip in self.chips.items()}
 
@@ -237,214 +237,69 @@ class Campaign:
         """Execute a case's phases on its chip, appending to the shared log."""
         bench = self.benches[self.chip_id(case.chip_no)]
         _run_case_phases(
-            self.tracer,
-            self._cases_run,
-            bench,
-            case.name,
-            case.phases,
-            self.log,
-            self.sanitizer,
-        )
-
-    def run_baseline(self) -> None:
-        """Burn every chip in (2 h at 20 degC, 1.2 V) — the paper's baseline."""
-        phase = baseline_phase()
-        for chip_id, bench in self.benches.items():
-            _run_case_phases(
-                self.tracer,
-                self._cases_run,
-                bench,
-                f"BASELINE-{chip_id}",
-                [phase],
-                self.log,
-                self.sanitizer,
-            )
-
-    def result(self) -> CampaignResult:
-        """Bundle the current state into a :class:`CampaignResult`."""
-        return CampaignResult(
-            log=self.log,
-            chips=dict(self.chips),
-            fresh_delays=dict(self.fresh_delays),
-            state_hashes=dict(self.sanitizer.hashes) if self.sanitizer.enabled else {},
+            self.tracer, self._cases_run, bench, case.name, case.phases, self.log
         )
 
 
-def _run_chip_schedule(
+class _Tally:
+    """Campaign-wide running totals behind the per-case progress lines."""
+
+    def __init__(self, progress: ProgressReporter, cases_total: int, chips_total: int):
+        self.progress = progress
+        self.cases_total = cases_total
+        self.chips_total = chips_total
+        self.cases = self.chips = self.retries = self.quarantined = 0
+
+    def case_done(self, chip_id: str, case_name: str, chip_retries: int) -> None:
+        """One ``case_done`` line; ``chip_retries`` counts this chip's so far."""
+        self.cases += 1
+        self.progress.case_done(
+            chip_id,
+            case_name,
+            self.cases,
+            self.cases_total,
+            self.chips,
+            self.chips_total,
+            retries=self.retries + chip_retries,
+            quarantined=self.quarantined,
+        )
+
+    def chip_done(self, chip_retries: int, quarantined: bool) -> None:
+        """Fold a finished (or quarantined) chip into the totals."""
+        self.chips += 1
+        self.retries += chip_retries
+        self.quarantined += int(quarantined)
+
+
+def _chip_schedule(
     chip_no: int,
     case_names: tuple[str, ...],
     include_baseline: bool,
     variation: ProcessVariation,
     chip_stream: np.random.Generator,
     bench_stream: np.random.Generator,
-    instrument: bool,
-    guard_config: GuardConfig | None = None,
-    sanitize: bool = False,
-) -> tuple[FpgaChip, DataLog, DataLog, "Tracer | None", dict[str, str]]:
-    """One chip's full Table 1 schedule, self-contained for a worker.
-
-    Seed handling mirrors :class:`Campaign.__init__` exactly — the chip
-    seed is drawn from ``chip_stream`` and the bench noise runs off
-    ``bench_stream`` — so the records produced here are bit-identical to
-    the sequential path.  Baseline and case records are returned as
-    separate shards because the sequential log interleaves them
-    (all baselines first, then the case sequences).  The worker owns its
-    sanitizer the same way it owns its tracer; the digests it returns
-    cover only this chip, so merging them is collision-free.
-    """
-    worker_tracer = Tracer() if instrument else NULL_TRACER
-    sanitizer = DeterminismSanitizer() if sanitize else NULL_SANITIZER
-    chip = FpgaChip(
-        f"chip-{chip_no}",
-        tech=TECH_40NM,
-        variation=variation,
-        seed=int(chip_stream.integers(2**31)),
-        tracer=worker_tracer,
-        guard=_chip_guard(guard_config, worker_tracer, f"chip-{chip_no}"),
-    )
-    bench = VirtualTestbench(chip, rng=bench_stream, tracer=worker_tracer)
-    cases_counter = worker_tracer.counter(
-        "campaign.cases", "test cases executed across campaigns"
-    )
-    baseline_log = DataLog()
-    case_log = DataLog()
-    if include_baseline:
-        _run_case_phases(
-            worker_tracer,
-            cases_counter,
-            bench,
-            f"BASELINE-{chip.chip_id}",
-            [baseline_phase()],
-            baseline_log,
-            sanitizer,
-        )
-    for name in case_names:
-        case = standard_case(name, chip_no)
-        _run_case_phases(
-            worker_tracer,
-            cases_counter,
-            bench,
-            case.name,
-            case.phases,
-            case_log,
-            sanitizer,
-        )
-    return (
-        chip,
-        baseline_log,
-        case_log,
-        worker_tracer if instrument else None,
-        dict(sanitizer.hashes) if sanitize else {},
-    )
-
-
-def _parallel_table1(
-    seed: int | None,
-    n_chips: int,
-    include_baseline: bool,
     tracer,
-    progress: ProgressReporter,
-    workers: int,
-    sequences: dict[int, tuple[str, ...]],
-    guard_config: GuardConfig | None = None,
-    sanitize: bool = False,
-) -> CampaignResult:
-    """Fan the chips out to worker threads and merge deterministically.
-
-    Threads (not processes): the trap updates are numpy array ops that
-    release the GIL, and threads avoid pickling chips back.  Workers are
-    merged in chip order after all complete — log order, span ids and
-    counter sums never depend on scheduling.
-    """
-    master = np.random.default_rng(seed)
-    variation = ProcessVariation()
-    streams = [master.spawn(2) for _ in range(n_chips)]
-    results: list = [None] * n_chips
-    with ThreadPoolExecutor(max_workers=min(workers, n_chips)) as pool:
-        future_to_index = {
-            pool.submit(
-                _run_chip_schedule,
-                index + 1,
-                sequences.get(index + 1, ()),
-                include_baseline,
-                variation,
-                streams[index][0],
-                streams[index][1],
-                tracer.enabled,
-                guard_config,
-                sanitize,
-            ): index
-            for index in range(n_chips)
-        }
-        chips_done = 0
-        for future in as_completed(future_to_index):
-            index = future_to_index[future]
-            results[index] = future.result()
-            chips_done += 1
-            progress.chip_done(f"chip-{index + 1}", chips_done, n_chips)
-    chips: dict[str, FpgaChip] = {}
-    fresh_delays: dict[str, float] = {}
-    state_hashes: dict[str, str] = {}
-    for chip, _, _, worker_tracer, worker_hashes in results:
-        chips[chip.chip_id] = chip
-        fresh_delays[chip.chip_id] = chip.fresh_path_delay
-        if worker_tracer is not None:
-            tracer.absorb(worker_tracer)
-        state_hashes.update(worker_hashes)
-    log = DataLog.merge(
-        [baseline_log for _, baseline_log, _, _, _ in results]
-        + [case_log for _, _, case_log, _, _ in results]
-    )
-    return CampaignResult(
-        log=log, chips=chips, fresh_delays=fresh_delays, state_hashes=state_hashes
-    )
-
-
-def _resilient_chip_schedule(
-    chip_no: int,
-    case_names: tuple[str, ...],
-    include_baseline: bool,
-    variation: ProcessVariation,
-    chip_stream: np.random.Generator,
-    bench_stream: np.random.Generator,
-    instrument: bool,
+    tally: _Tally,
     plan: FaultPlan | None,
     retry: RetryPolicy | None,
     store: CheckpointStore | None,
-    guard_config: GuardConfig | None = None,
-    sanitize: bool = False,
-) -> tuple[
-    FpgaChip,
-    DataLog,
-    DataLog,
-    QuarantineReport | None,
-    int,
-    "Tracer | None",
-    dict[str, str],
-]:
+    guard_config: GuardConfig | None,
+    sanitizer,
+) -> tuple[FpgaChip, DataLog, DataLog, QuarantineReport | None]:
     """One chip's schedule with faults, retries and checkpointing.
 
-    Seed handling is identical to :func:`_run_chip_schedule`, so with no
-    faults installed the records are bit-identical to the plain paths.
-    On resume the chip is rebuilt from its seed (cheap, deterministic),
-    its trap state and the bench RNG are rewound from the checkpoint, and
-    only the unfinished tail of the schedule runs.
+    Baseline and case records come back as separate logs so the campaign
+    can merge every baseline ahead of every case.  On resume the chip is
+    rebuilt from its seed (cheap, deterministic), its trap state and the
+    bench RNG are rewound from the checkpoint, and only the unfinished
+    tail of the schedule runs.
 
     A clamp-mode guard whose violation budget runs out raises
     :class:`~repro.errors.ChipDropoutError` from inside the model stack;
     it is caught below exactly like an instrument dropout, so the chip
     lands in quarantine and the campaign completes on the survivors.
     """
-    worker_tracer = Tracer() if instrument else NULL_TRACER
-    sanitizer = DeterminismSanitizer() if sanitize else NULL_SANITIZER
-    chip = FpgaChip(
-        f"chip-{chip_no}",
-        tech=TECH_40NM,
-        variation=variation,
-        seed=int(chip_stream.integers(2**31)),
-        tracer=worker_tracer,
-        guard=_chip_guard(guard_config, worker_tracer, f"chip-{chip_no}"),
-    )
+    chip = _build_chip(chip_no, variation, chip_stream, tracer, guard_config)
     baseline_log, case_log = DataLog(), DataLog()
     completed: list[str] = []
     quarantine: QuarantineReport | None = None
@@ -453,18 +308,16 @@ def _resilient_chip_schedule(
         if loaded is not None:
             baseline_log, case_log, completed, quarantine = loaded
     if plan is not None:
-        injector = FaultInjector(
-            plan, chip.chip_id, start_time=chip.elapsed, tracer=worker_tracer
-        )
+        injector = FaultInjector(plan, chip.chip_id, start_time=chip.elapsed, tracer=tracer)
         bench: VirtualTestbench = ResilientTestbench(
-            chip, injector=injector, retry=retry, rng=bench_stream, tracer=worker_tracer
+            chip, injector=injector, retry=retry, rng=bench_stream, tracer=tracer
         )
     else:
-        bench = VirtualTestbench(chip, rng=bench_stream, tracer=worker_tracer)
-    cases_counter = worker_tracer.counter(
+        bench = VirtualTestbench(chip, rng=bench_stream, tracer=tracer)
+    cases_counter = tracer.counter(
         "campaign.cases", "test cases executed across campaigns"
     )
-    quarantines_counter = worker_tracer.counter(
+    quarantines_counter = tracer.counter(
         "campaign.quarantines", "chips pulled from the bench mid-campaign"
     )
     schedule: list[tuple[str, tuple[TestPhase, ...], DataLog]] = []
@@ -483,9 +336,7 @@ def _resilient_chip_schedule(
                 )
             continue
         try:
-            _run_case_phases(
-                worker_tracer, cases_counter, bench, case_name, phases, log, sanitizer
-            )
+            _run_case_phases(tracer, cases_counter, bench, case_name, phases, log, sanitizer)
         except (ChipDropoutError, RetryExhaustedError) as error:
             # Graceful degradation: keep the records taken so far, flag
             # the chip, and let the rest of the campaign finish.
@@ -504,106 +355,9 @@ def _resilient_chip_schedule(
         completed.append(case_name)
         if store is not None:
             store.save_chip(chip, bench_stream, baseline_log, case_log, completed)
-    retries_taken = getattr(bench, "retries_taken", 0)
-    return (
-        chip,
-        baseline_log,
-        case_log,
-        quarantine,
-        retries_taken,
-        worker_tracer if instrument else None,
-        dict(sanitizer.hashes) if sanitize else {},
-    )
-
-
-def _resilient_table1(
-    seed: int | None,
-    n_chips: int,
-    include_baseline: bool,
-    tracer,
-    progress: ProgressReporter,
-    workers: int,
-    sequences: dict[int, tuple[str, ...]],
-    plan: FaultPlan | None,
-    retry: RetryPolicy | None,
-    store: CheckpointStore | None,
-    guard_config: GuardConfig | None = None,
-    sanitize: bool = False,
-) -> CampaignResult:
-    """Fan chips out with fault/retry/checkpoint support and merge.
-
-    The same deterministic merge discipline as :func:`_parallel_table1`:
-    chip order decides log order, worker scheduling never does.
-    """
-    master = np.random.default_rng(seed)
-    variation = ProcessVariation()
-    streams = [master.spawn(2) for _ in range(n_chips)]
-    results: list = [None] * n_chips
-    with ThreadPoolExecutor(max_workers=min(max(workers, 1), n_chips)) as pool:
-        future_to_index = {
-            pool.submit(
-                _resilient_chip_schedule,
-                index + 1,
-                sequences.get(index + 1, ()),
-                include_baseline,
-                variation,
-                streams[index][0],
-                streams[index][1],
-                tracer.enabled,
-                plan,
-                retry,
-                store,
-                guard_config,
-                sanitize,
-            ): index
-            for index in range(n_chips)
-        }
-        chips_done = 0
-        retries_so_far = 0
-        quarantined_so_far = 0
-        for future in as_completed(future_to_index):
-            index = future_to_index[future]
-            results[index] = future.result()
-            chips_done += 1
-            quarantine = results[index][3]
-            retries_so_far += results[index][4]
-            if quarantine is not None:
-                quarantined_so_far += 1
-            progress.chip_done(
-                f"chip-{index + 1}",
-                chips_done,
-                n_chips,
-                retries=retries_so_far,
-                quarantined=quarantined_so_far,
-                quarantine_reason=(
-                    f"during {quarantine.case}: {quarantine.reason}"
-                    if quarantine is not None
-                    else None
-                ),
-            )
-    chips: dict[str, FpgaChip] = {}
-    fresh_delays: dict[str, float] = {}
-    quarantined: dict[str, QuarantineReport] = {}
-    state_hashes: dict[str, str] = {}
-    for chip, _, _, quarantine, _, worker_tracer, worker_hashes in results:
-        chips[chip.chip_id] = chip
-        fresh_delays[chip.chip_id] = chip.fresh_path_delay
-        if quarantine is not None:
-            quarantined[chip.chip_id] = quarantine
-        if worker_tracer is not None:
-            tracer.absorb(worker_tracer)
-        state_hashes.update(worker_hashes)
-    log = DataLog.merge(
-        [baseline_log for _, baseline_log, _, _, _, _, _ in results]
-        + [case_log for _, _, case_log, _, _, _, _ in results]
-    )
-    return CampaignResult(
-        log=log,
-        chips=chips,
-        fresh_delays=fresh_delays,
-        quarantined=quarantined,
-        state_hashes=state_hashes,
-    )
+        tally.case_done(chip.chip_id, case_name, getattr(bench, "retries_taken", 0))
+    tally.chip_done(getattr(bench, "retries_taken", 0), quarantine is not None)
+    return chip, baseline_log, case_log, quarantine
 
 
 def table1_horizon(n_chips: int = 5, include_baseline: bool = True) -> float:
@@ -628,7 +382,6 @@ def run_table1_campaign(
     include_baseline: bool = True,
     tracer=None,
     progress: ProgressReporter | None = None,
-    workers: int = 1,
     faults: FaultPlan | None = None,
     retry: RetryPolicy | None = None,
     checkpoint: "str | None" = None,
@@ -640,14 +393,14 @@ def run_table1_campaign(
 
     Chip execution order follows the paper: each chip runs its stress case
     then its recovery case; chip 5 additionally re-stresses for 48 h and
-    runs the 12 h recovery (``AR110N12``).
+    runs the 12 h recovery (``AR110N12``).  Chips run one after another,
+    each through its baseline burn-in and then its cases; the merged log
+    holds every baseline first, then every chip's cases, in chip order.
 
-    ``workers`` above 1 runs each chip's schedule in a worker thread; the
-    merged result is bit-identical to the sequential run for the same
-    seed.  ``tracer`` wraps the run in a ``campaign`` span (cases and
-    phases nest under it, whichever worker ran them) and records the
-    simulated-seconds-per-wall-second throughput; ``progress`` gets one
-    line per completed case (sequential) or chip (parallel).
+    ``tracer`` wraps the run in a ``campaign`` span (cases and phases
+    nest under it) and records the simulated-seconds-per-wall-second
+    throughput; ``progress`` gets one line per completed case, with live
+    retry/quarantine tallies.
 
     Resilience: ``faults`` installs a :class:`FaultPlan` (chips it never
     names stay bit-identical to a fault-free run); ``retry`` bounds the
@@ -661,22 +414,20 @@ def run_table1_campaign(
 
     ``guard`` installs a physics-contract :class:`~repro.guard.GuardConfig`
     on every chip (each chip gets its own :class:`~repro.guard.Guard`
-    instance, so worker threads never share violation state).  In clamp
-    mode a chip that exhausts its violation budget is quarantined exactly
-    like a dropout; in raise mode the first violation aborts the campaign
-    with a replayable repro bundle.
+    instance, so violation budgets are per chip).  In clamp mode a chip
+    that exhausts its violation budget is quarantined exactly like a
+    dropout; in raise mode the first violation aborts the campaign with
+    a replayable repro bundle.
 
     ``sanitize`` turns on the determinism sanitizer: every chip's state
     (records, trap occupancy, bench RNG) is hashed at each phase
     boundary into ``CampaignResult.state_hashes`` and, when a tracer is
     live, into ``state_hash`` spans that ``repro trace diff`` compares —
-    sequential and ``workers=N`` runs of one seed must produce identical
-    digests.
+    any two runs of one seed, and the exact fleet engine, must produce
+    identical digests.
     """
     tracer = tracer if tracer is not None else get_tracer()
     progress = progress if progress is not None else NULL_PROGRESS
-    if workers < 1:
-        raise ScheduleError(f"workers must be at least 1, got {workers}")
     store = None
     if checkpoint is not None:
         store = CheckpointStore(checkpoint)
@@ -688,74 +439,53 @@ def run_table1_campaign(
         store.init_manifest(seed, n_chips, include_baseline)
     elif resume:
         raise ConfigurationError("resume requires a checkpoint directory")
-    resilient = (
-        faults is not None
-        or retry is not None
-        or store is not None
-        or guard is not None
+    master = np.random.default_rng(seed)
+    variation = ProcessVariation()
+    sanitizer = DeterminismSanitizer() if sanitize else NULL_SANITIZER
+    sequences = [CHIP_SEQUENCES.get(chip_no, ()) for chip_no in range(1, n_chips + 1)]
+    tally = _Tally(
+        progress,
+        sum(len(names) + include_baseline for names in sequences),
+        n_chips,
     )
-    sequences = {
-        chip_no: names for chip_no, names in CHIP_SEQUENCES.items() if chip_no <= n_chips
-    }
-    with tracer.span("campaign", seed=seed, n_chips=n_chips, workers=workers) as span:
-        if resilient:
-            result = _resilient_table1(
-                seed,
-                n_chips,
+    chips: dict[str, FpgaChip] = {}
+    quarantined: dict[str, QuarantineReport] = {}
+    baseline_logs: list[DataLog] = []
+    case_logs: list[DataLog] = []
+    with tracer.span("campaign", seed=seed, n_chips=n_chips) as span:
+        for chip_no, case_names in enumerate(sequences, start=1):
+            chip_stream, bench_stream = master.spawn(2)
+            chip, baseline_log, case_log, quarantine = _chip_schedule(
+                chip_no,
+                case_names,
                 include_baseline,
+                variation,
+                chip_stream,
+                bench_stream,
                 tracer,
-                progress,
-                workers,
-                sequences,
+                tally,
                 faults,
                 retry,
                 store,
                 guard,
-                sanitize=sanitize,
+                sanitizer,
             )
-        elif workers > 1:
-            result = _parallel_table1(
-                seed,
-                n_chips,
-                include_baseline,
-                tracer,
-                progress,
-                workers,
-                sequences,
-                sanitize=sanitize,
-            )
-        else:
-            campaign = Campaign(
-                n_chips=n_chips,
-                seed=seed,
-                tracer=tracer,
-                sanitizer=DeterminismSanitizer() if sanitize else None,
-            )
-            total_cases = sum(len(names) for names in sequences.values())
-            if include_baseline:
-                campaign.run_baseline()
-                progress.line(f"baseline burn-in done on {n_chips} chips")
-            cases_done = 0
-            chips_done = 0
-            for chip_no, case_names in sequences.items():
-                for name in case_names:
-                    campaign.run_case(standard_case(name, chip_no))
-                    cases_done += 1
-                    progress.case_done(
-                        campaign.chip_id(chip_no),
-                        name,
-                        cases_done,
-                        total_cases,
-                        chips_done,
-                        len(sequences),
-                    )
-                chips_done += 1
-            result = campaign.result()
-        sim_total = float(sum(chip.elapsed for chip in result.chips.values()))
+            chips[chip.chip_id] = chip
+            baseline_logs.append(baseline_log)
+            case_logs.append(case_log)
+            if quarantine is not None:
+                quarantined[chip.chip_id] = quarantine
+        sim_total = float(sum(chip.elapsed for chip in chips.values()))
         span.set("sim_advanced", sim_total)
     if span.duration > 0.0:
         tracer.gauge(
             "campaign.sim_seconds_per_wall_second",
             "simulated time advanced per wall-clock second",
         ).set(sim_total / span.duration)
-    return result
+    return CampaignResult(
+        log=DataLog.merge(baseline_logs + case_logs),
+        chips=chips,
+        fresh_delays={cid: chip.fresh_path_delay for cid, chip in chips.items()},
+        quarantined=quarantined,
+        state_hashes=dict(sanitizer.hashes),
+    )

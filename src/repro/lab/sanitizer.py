@@ -7,15 +7,15 @@ the campaign is race-free; this module checks the *numbers*.  With
 phase appended, the chip's trap-occupancy state and the bench RNG state
 into a rolling SHA-256.  The digests land both in
 ``CampaignResult.state_hashes`` (for direct equality asserts) and in
-``state_hash`` spans on the trace, so two runs — sequential vs
-``--workers N``, or today vs last week — can be compared span-by-span
-and ``repro trace diff`` pinpoints the first phase where chip state
-diverged.
+``state_hash`` spans on the trace, so two runs — two processes with
+different hash seeds, the campaign runner vs the exact fleet engine, or
+today vs last week — can be compared span-by-span and ``repro trace
+diff`` pinpoints the first phase where chip state diverged.
 
-Hashes depend only on per-chip simulated history, never on wall clock or
-worker scheduling, so sequential and parallel runs of the same seed must
-produce identical digests.  A mismatch is a determinism bug by
-definition — exactly what a registered-but-wrong merge claim
+Hashes depend only on per-chip simulated history, never on wall clock,
+process or shard layout, so every run of the same seed must produce
+identical digests.  A mismatch is a determinism bug by definition —
+exactly what a registered-but-wrong merge claim
 (:mod:`repro.analysis.flow.merge`) would produce.
 """
 
@@ -63,9 +63,9 @@ class _ChipHasher:
 class DeterminismSanitizer:
     """Collects per-chip phase-boundary digests for one campaign run.
 
-    One instance per sequential campaign; one per worker in parallel
-    campaigns (chips are worker-disjoint, so merging the per-worker
-    ``hashes`` dicts in chip order is deterministic).
+    One instance per campaign run (the fleet engine uses one per chip
+    batch; a chip never spans two instances, so their ``hashes`` dicts
+    merge cleanly).
     """
 
     enabled = True
@@ -79,7 +79,7 @@ class DeterminismSanitizer:
 
         ``start`` is ``len(log)`` before the phase ran; the slice from
         there is exactly the records this phase appended — pure per-chip
-        data in both the sequential log and the parallel shard logs.
+        data whether the log holds one chip or many.
         """
         chip_id = bench.chip.chip_id
         hasher = self._hashers.setdefault(chip_id, _ChipHasher(chip_id))
@@ -99,10 +99,6 @@ class DeterminismSanitizer:
             pass
         return state
 
-    def absorb(self, other: "DeterminismSanitizer") -> None:
-        """Fold a worker sanitizer's digests in (call in chip order)."""
-        self.hashes.update(other.hashes)
-
 
 class _NullSanitizer:
     """The do-nothing default: campaigns run unhashed."""
@@ -114,9 +110,6 @@ class _NullSanitizer:
     def record_phase(self, tracer, bench, case_name, phase, log, start) -> str:
         """No-op; returns an empty digest."""
         return ""
-
-    def absorb(self, other) -> None:
-        """No-op."""
 
 
 #: Shared inert instance — the default wherever a sanitizer is accepted.

@@ -72,10 +72,7 @@ DEFAULT_BUCKETS: tuple[float, ...] = (
 class Histogram:
     """A distribution folded into count/sum/min/max and fixed buckets.
 
-    Buckets are cumulative-style upper bounds (last is implicitly +inf);
-    two histograms merge exactly — counts, sums and bucket tallies add in
-    a fixed order, min/max take the extremes — so parallel workers fold
-    into the same result as a sequential run.
+    Buckets are cumulative-style upper bounds (last is implicitly +inf).
     """
 
     __slots__ = ("name", "description", "bounds", "bucket_counts",
@@ -128,19 +125,6 @@ class Histogram:
                 return
         self.bucket_counts[-1] += 1
 
-    def merge_from(self, other: "Histogram") -> None:
-        """Fold another histogram into this one (must share bounds)."""
-        if other.bounds != self.bounds:
-            raise ConfigurationError(
-                f"histogram {self.name!r} bounds differ between registries"
-            )
-        self.count += other.count
-        self.sum += other.sum
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-        for index, tally in enumerate(other.bucket_counts):
-            self.bucket_counts[index] += tally
-
     def payload(self) -> dict:
         """Extra fields the JSONL metric record carries for histograms."""
         empty = self.count == 0
@@ -164,8 +148,7 @@ class DerivedGauge:
     """A gauge computed on read as numerator / sum-of-denominators.
 
     The operands are *names* of sibling metrics in the owning registry,
-    so a derived gauge survives merges for free: fold the underlying
-    counters and the ratio is correct in the merged registry too.
+    so the ratio always reads the counters' current values.
     """
 
     __slots__ = ("name", "description", "numerator", "denominators", "_registry")
@@ -364,31 +347,6 @@ class MetricsRegistry:
     def snapshot(self) -> dict[str, float]:
         """Name -> value for every metric, sorted by name."""
         return {name: self._metrics[name].value for name in sorted(self._metrics)}
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry into this one.
-
-        Counters accumulate (sums add); gauges take the other registry's
-        value (it is the more recent observation when workers are merged
-        after they finish); histograms fold exactly (counts, sums and
-        bucket tallies add, min/max take the extremes); derived gauges
-        re-register their definition, so they read correctly against the
-        merged operands.  A name registered with a different kind in the
-        two registries raises :class:`ConfigurationError`.
-        """
-        for name, metric in other._metrics.items():
-            if metric.kind == "counter":
-                self.counter(name, metric.description).inc(metric.value)
-            elif metric.kind == "histogram":
-                self.histogram(
-                    name, metric.description, bounds=metric.bounds
-                ).merge_from(metric)
-            elif metric.kind == "derived":
-                self.derived_gauge(
-                    name, metric.description, metric.numerator, metric.denominators
-                )
-            else:
-                self.gauge(name, metric.description).set(metric.value)
 
     def reset(self) -> None:
         """Drop every metric (a fresh run starts from zero)."""

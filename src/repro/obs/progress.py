@@ -2,10 +2,12 @@
 
 The five-chip Table-1 campaign simulates hundreds of hours of silicon
 time and can take minutes of wall clock; the reporter prints one line per
-completed unit of work so the operator can see chips/cases tick by::
+completed case (baseline burn-ins included) so the operator can see
+chips/cases tick by::
 
-    [   2.8s] chip-1  AS110AC24  done  (1/11 cases, 0/5 chips)
-    [   5.5s] chip-1  AR110N6    done  (2/11 cases, 1/5 chips)
+    [   0.3s] chip-1   BASELINE-chip-1 done  (1/16 cases, 0/5 chips)
+    [   0.9s] chip-1   AS110AC24  done  (2/16 cases, 0/5 chips)
+    [   1.2s] chip-2   BASELINE-chip-2 done  (3/16 cases, 1/5 chips)
 
 A disabled reporter (``enabled=False``) swallows everything, so callers
 never need a null check.
@@ -83,26 +85,6 @@ class ProgressReporter:
         self.line(
             f"{chip_id:<8} {case:<10} done  "
             f"({cases_done}/{cases_total} cases, {chips_done}/{chips_total} chips"
-            f"{self._resilience_suffix(retries, quarantined)})"
-        )
-
-    def chip_done(
-        self,
-        chip_id: str,
-        chips_done: int,
-        chips_total: int,
-        retries: int = 0,
-        quarantined: int = 0,
-        quarantine_reason: str | None = None,
-    ) -> None:
-        """Report one chip finishing (or being pulled from) its schedule."""
-        status = (
-            f"QUARANTINED: {quarantine_reason}"
-            if quarantine_reason is not None
-            else "schedule complete"
-        )
-        self.line(
-            f"{chip_id:<8} {status}  ({chips_done}/{chips_total} chips"
             f"{self._resilience_suffix(retries, quarantined)})"
         )
 

@@ -10,7 +10,7 @@ tree.
 
 The default tracer is :data:`NULL_TRACER`, whose spans and metrics are
 shared no-op objects: uninstrumented runs pay a bound-method call and
-nothing else.  Tracers are not thread-safe; use one per worker.
+nothing else.  Tracers are not thread-safe.
 """
 
 from __future__ import annotations
@@ -201,42 +201,6 @@ class Tracer:
                     "attrs": span.attributes,
                 }
             )
-
-    def absorb(self, child: "Tracer") -> None:
-        """Fold a finished worker tracer into this one.
-
-        The child's spans are renumbered onto this tracer's id sequence,
-        its root spans are re-parented under the currently open span (if
-        any), depths shift accordingly, and start times are rebased from
-        the child's epoch to this one's, so the merged trace reads as one
-        consistent tree.  Counters accumulate; gauges take the child's
-        value.
-
-        Only call this after the child has finished every span (tracers
-        are not thread-safe); absorbing workers in a fixed order keeps
-        the merged trace deterministic however they were scheduled.
-        """
-        parent = self._stack[-1] if self._stack else None
-        depth_offset = len(self._stack)
-        epoch_offset = child.epoch - self.epoch
-        id_map: dict[int, int] = {}
-        # Children finish before their parents, so ids are assigned in a
-        # first pass and parent links rewritten in a second.
-        for span in child.finished:
-            id_map[span.span_id] = self._next_id
-            self._next_id += 1
-        for span in child.finished:
-            span.span_id = id_map[span.span_id]
-            if span.parent_id is not None and span.parent_id in id_map:
-                span.parent_id = id_map[span.parent_id]
-            else:
-                span.parent_id = parent.span_id if parent is not None else None
-            span.depth += depth_offset
-            span.start += epoch_offset
-            span._tracer = self
-            self._record(span)
-        child.finished = []
-        self.metrics.merge(child.metrics)
 
     @property
     def current(self) -> Span | None:

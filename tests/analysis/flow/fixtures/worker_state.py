@@ -5,7 +5,8 @@ tests, never imported or executed.  ``run_all`` submits ``worker_task``
 to a thread pool; everything the worker (and its callees) writes to
 shared state below is an intentional violation.  ``run_merged`` is the
 clean counterpart: its shared accumulator is a ``DataLog``, whose merge
-is registered as deterministic.
+is registered as deterministic.  ``run_mapped`` maps a worker over its
+jobs; each job is one task's own item, so mutating it is clean too.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -70,3 +71,15 @@ def run_merged(payloads, log: DataLog):
     with ThreadPoolExecutor() as pool:
         futures = [pool.submit(merging_task, i, log) for i in range(len(payloads))]
     return [f.result() for f in futures]
+
+
+def mapped_task(job):
+    """Clean mapped worker: the job it mutates belongs to this task."""
+    job.append(len(job))
+    return job
+
+
+def run_mapped(jobs):
+    """Map the clean worker across a pool."""
+    with ThreadPoolExecutor() as pool:
+        return list(pool.map(mapped_task, jobs))

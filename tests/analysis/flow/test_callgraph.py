@@ -47,7 +47,17 @@ class TestWorkerEntries:
         assert {entry.qualname for entry in entries} == {
             "worker_state.worker_task",
             "worker_state.merging_task",
+            "worker_state.mapped_task",
         }
+
+    def test_map_targets_have_no_shared_params(self, fixture_graph):
+        project, graph = fixture_graph
+        entries = {
+            entry.qualname: entry for entry in find_worker_entries(project, graph)
+        }
+        mapped = entries["worker_state.mapped_task"]
+        assert mapped.submitter == "worker_state.run_mapped"
+        assert mapped.shared_params == {}
 
     def test_loop_var_args_classified_per_task(self, fixture_graph):
         project, graph = fixture_graph
@@ -72,5 +82,4 @@ class TestWorkerEntries:
         project = Project.load([REPO_ROOT / "src"], root=REPO_ROOT)
         graph = CallGraph.build(project)
         entries = {e.qualname for e in find_worker_entries(project, graph)}
-        assert "repro.lab.campaign._run_chip_schedule" in entries
-        assert "repro.lab.campaign._resilient_chip_schedule" in entries
+        assert "repro.lab.fleet._shard_worker" in entries

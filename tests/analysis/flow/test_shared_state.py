@@ -54,6 +54,10 @@ class TestSharedStateRules:
         assert ".update" in finding.message
 
 
+    def test_mapped_worker_items_are_per_task(self, findings):
+        assert not any("mapped_task" in f.message for f in findings)
+
+
 class TestMergeExemptions:
     def test_registered_merge_types_are_exempt(self, findings):
         # SHARED_LOG is a DataLog and merging_task annotates its log

@@ -74,6 +74,10 @@ class TestSerialisation:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown sweep spec keys"):
             SweepSpec.from_dict({"name": "x", "bogus": 1})
+        # Specs written before the thread-pool option was removed carry
+        # "workers"; they must fail loudly, not silently drop the key.
+        with pytest.raises(ConfigurationError, match="unknown sweep spec keys: workers"):
+            SweepSpec.from_dict({**small_spec().to_dict(), "workers": 1})
 
     def test_unknown_lifetime_keys_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown lifetime keys"):
@@ -100,7 +104,7 @@ class TestValidation:
             (dict(name="no spaces"), "non-empty slug"),
             (dict(engine="gpu"), "unknown engine"),
             (dict(n_chips=0), "n_chips"),
-            (dict(workers=0), "workers"),
+            (dict(lifetime=LifetimeSettings(horizon_hours=0.0)), "lifetime horizon"),
             (dict(retries=0), "retries"),
             (dict(retry_backoff_s=-1.0), "retry_backoff_s"),
             (dict(guard_budget=-1), "guard_budget"),

@@ -74,6 +74,9 @@ class TestTable1Integration:
         assert len(times) == 13
         assert np.diff(times)[0] == pytest.approx(1800.0)
 
+    def test_interactive_bench_builds_the_campaign_chips(self, campaign_result):
+        assert Campaign(n_chips=5, seed=0).fresh_delays == campaign_result.fresh_delays
+
     def test_chip5_restress_deeper_than_first(self, campaign_result):
         __, first = campaign_result.delay_change_series("AS110DC24", chip_no=5)
         __, second = campaign_result.delay_change_series("AS110DC48", chip_no=5)

@@ -3,8 +3,7 @@
 Satellite of the dependability sweep.  A chip can leave the bench for two
 independent reasons — exhausting its guard violation budget or a
 ``CHIP_DROPOUT`` fault — and a chip hit by *both* must still be
-quarantined exactly once, with deterministic counters, whether the
-campaign runs sequentially or with worker threads.
+quarantined exactly once, with deterministic counters on every run.
 """
 
 from repro.guard import GuardConfig
@@ -47,11 +46,10 @@ def interplay_plan(dropout_first=False):
     )
 
 
-def run(plan, tracer=None, workers=1):
+def run(plan, tracer=None):
     return run_table1_campaign(
         seed=SEED,
         n_chips=N_CHIPS,
-        workers=workers,
         faults=plan,
         guard=GuardConfig(mode="clamp", violation_budget=1, dump_dir=None),
         tracer=tracer,
@@ -102,22 +100,13 @@ class TestQuarantineExactlyOnce:
 class TestDeterministicCounters:
     def test_repeat_runs_agree(self):
         first, second = Tracer(), Tracer()
-        run(interplay_plan(), tracer=first)
-        run(interplay_plan(), tracer=second)
+        a = run(interplay_plan(), tracer=first)
+        b = run(interplay_plan(), tracer=second)
+        assert list(a.log) == list(b.log)
+        assert {chip: report.case for chip, report in a.quarantined.items()} == {
+            chip: report.case for chip, report in b.quarantined.items()
+        }
         snapshot = counter_snapshot(first)
         assert snapshot == counter_snapshot(second)
         assert snapshot["campaign.quarantines"] == 2.0
         assert any(name.startswith("guard.violations.") for name in snapshot)
-
-    def test_sequential_matches_workers(self):
-        sequential_tracer, parallel_tracer = Tracer(), Tracer()
-        sequential = run(interplay_plan(), tracer=sequential_tracer)
-        parallel = run(interplay_plan(), tracer=parallel_tracer, workers=2)
-        assert list(sequential.log) == list(parallel.log)
-        assert set(sequential.quarantined) == set(parallel.quarantined)
-        assert {
-            chip: report.case for chip, report in sequential.quarantined.items()
-        } == {chip: report.case for chip, report in parallel.quarantined.items()}
-        assert counter_snapshot(sequential_tracer) == counter_snapshot(
-            parallel_tracer
-        )

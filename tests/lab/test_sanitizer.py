@@ -1,8 +1,9 @@
 """Determinism sanitizer: phase-boundary state hashes prove bit-identity.
 
 Two claims are tested here.  First, the positive one: with ``--sanitize``
-the sequential, parallel and resilient campaign paths produce *identical*
-per-phase digests, so the hashes are evidence rather than noise.  Second,
+the plain and resilient campaign runs and the process-sharded exact fleet
+produce *identical* per-phase digests, so the hashes are evidence rather
+than noise.  Second,
 the diagnostic one: when a divergence is injected, ``diff_traces``
 localizes it to the first divergent (chip, phase) span instead of just
 reporting that final results differ.
@@ -11,21 +12,24 @@ reporting that final results differ.
 import pytest
 
 from repro.lab.campaign import run_table1_campaign
+from repro.lab.fleet import run_fleet_campaign
 from repro.lab.measurement import VirtualTestbench
 from repro.lab.resilience import RetryPolicy
-from repro.lab.sanitizer import NULL_SANITIZER, DeterminismSanitizer
+from repro.lab.sanitizer import NULL_SANITIZER
 from repro.obs import Tracer
 from repro.obs.query import TraceModel, diff_traces
 
 
 @pytest.fixture(scope="module")
 def sanitized_sequential():
-    return run_table1_campaign(seed=123, n_chips=2, workers=1, sanitize=True)
+    return run_table1_campaign(seed=123, n_chips=2, sanitize=True)
 
 
 @pytest.fixture(scope="module")
 def sanitized_parallel():
-    return run_table1_campaign(seed=123, n_chips=2, workers=2, sanitize=True)
+    return run_fleet_campaign(
+        seed=123, n_chips=2, fidelity="exact", shards=2, sanitize=True
+    )
 
 
 class TestPhaseHashes:
@@ -47,23 +51,21 @@ class TestPhaseHashes:
 
     def test_resilient_path_hashes_bit_identical(self, sanitized_sequential):
         resilient = run_table1_campaign(
-            seed=123, n_chips=2, workers=2, retry=RetryPolicy(), sanitize=True
+            seed=123, n_chips=2, retry=RetryPolicy(), sanitize=True
         )
         assert resilient.state_hashes == sanitized_sequential.state_hashes
 
     def test_unsanitized_runs_carry_no_hashes(self):
-        result = run_table1_campaign(seed=123, n_chips=2, workers=1)
+        result = run_table1_campaign(seed=123, n_chips=2)
         assert result.state_hashes == {}
 
     def test_null_sanitizer_is_inert(self):
         assert NULL_SANITIZER.enabled is False
         assert NULL_SANITIZER.hashes == {}
         assert NULL_SANITIZER.record_phase(None, None, "c", "p", [], 0) == ""
-        NULL_SANITIZER.absorb(DeterminismSanitizer())
-        assert NULL_SANITIZER.hashes == {}
 
     def test_hashes_depend_on_seed(self, sanitized_sequential):
-        other = run_table1_campaign(seed=124, n_chips=2, workers=1, sanitize=True)
+        other = run_table1_campaign(seed=124, n_chips=2, sanitize=True)
         assert other.state_hashes != sanitized_sequential.state_hashes
         assert other.state_hashes.keys() == sanitized_sequential.state_hashes.keys()
 
@@ -88,7 +90,7 @@ def _traced_run(monkeypatch=None, diverge=False) -> TraceModel:
 
         monkeypatch.setattr(VirtualTestbench, "_delivered_voltage", skewed)
     tracer = Tracer()
-    run_table1_campaign(seed=123, n_chips=2, workers=1, tracer=tracer, sanitize=True)
+    run_table1_campaign(seed=123, n_chips=2, tracer=tracer, sanitize=True)
     if monkeypatch is not None:
         monkeypatch.undo()
     return TraceModel.from_tracer(tracer)
@@ -126,13 +128,6 @@ class TestDivergenceLocalization:
 
 class TestSanitizerUnit:
     def test_hash_keys_are_sequenced_per_chip(self):
-        result = run_table1_campaign(seed=7, n_chips=1, workers=1, sanitize=True)
+        result = run_table1_campaign(seed=7, n_chips=1, sanitize=True)
         assert list(result.state_hashes) == ["chip-1/000", "chip-1/001"]
 
-    def test_absorb_merges_worker_hashes(self):
-        a = DeterminismSanitizer()
-        a.hashes["chip-1/000"] = "aa"
-        b = DeterminismSanitizer()
-        b.hashes["chip-2/000"] = "bb"
-        a.absorb(b)
-        assert a.hashes == {"chip-1/000": "aa", "chip-2/000": "bb"}

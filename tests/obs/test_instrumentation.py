@@ -72,6 +72,36 @@ class TestCampaignSpans:
         case_total = sum(span.sim_advanced for span in tracer.spans("case"))
         assert case_total == pytest.approx(campaign.sim_advanced)
 
+    def test_campaign_root_attributes(self, traced_campaign):
+        tracer, __, __ = traced_campaign
+        root = tracer.spans("campaign")[0]
+        assert root.parent_id is None
+        assert set(root.attributes) == {"seed", "n_chips", "sim_advanced"}
+        assert (root.attributes["seed"], root.attributes["n_chips"]) == (0, 1)
+
+    def test_case_histograms_count_every_case(self, traced_campaign):
+        tracer, __, __ = traced_campaign
+        n_cases = len(tracer.spans("case"))
+        for name in ("profile.case.meas_per_s", "profile.case.trap_updates_per_s"):
+            hist = tracer.metrics.get(name)
+            # observation counts and bucket shape are deterministic; the
+            # observed rates themselves are wall-clock quantities
+            assert hist.count == n_cases
+            assert hist.count == sum(hist.bucket_counts)
+
+    def test_derived_hit_rate_reads_counters(self, traced_campaign):
+        tracer, __, __ = traced_campaign
+        registry = tracer.metrics
+        lookups = (
+            registry.value("bti.rate_cache.hits")
+            + registry.value("bti.rate_cache.partial_hits")
+            + registry.value("bti.rate_cache.misses")
+        )
+        assert lookups > 0
+        assert registry.value("bti.rate_cache.hit_rate") == (
+            registry.value("bti.rate_cache.hits") / lookups
+        )
+
     def test_counters_match_log(self, traced_campaign):
         tracer, result, __ = traced_campaign
         metrics = tracer.metrics
@@ -100,9 +130,10 @@ class TestCampaignSpans:
         reporter = ProgressReporter(stream=buffer)
         run_table1_campaign(seed=0, n_chips=1, progress=reporter)
         out = buffer.getvalue()
-        assert "baseline burn-in done" in out
-        assert "AS110AC24" in out
-        assert "(1/1 cases" in out
+        # One case_done line per schedule entry, the baseline included.
+        assert "BASELINE-chip-1" in out and "(1/2 cases, 0/1 chips)" in out
+        assert "AS110AC24" in out and "(2/2 cases, 0/1 chips)" in out
+        assert reporter.n_lines == 2
 
 
 class TestMulticoreTelemetry:

@@ -117,28 +117,6 @@ class TestHistogram:
         assert hist.value == 2.0
         assert hist.kind == "histogram"
 
-    def test_merge_requires_matching_bounds(self):
-        from repro.obs import Histogram
-
-        a = Histogram("lat", bounds=(1.0,))
-        b = Histogram("lat", bounds=(2.0,))
-        with pytest.raises(ConfigurationError):
-            a.merge_from(b)
-
-    def test_merge_folds_exactly(self):
-        from repro.obs import Histogram
-
-        a = Histogram("lat", bounds=(1.0, 10.0))
-        b = Histogram("lat", bounds=(1.0, 10.0))
-        a.observe(0.5)
-        b.observe(20.0)
-        b.observe(2.0)
-        a.merge_from(b)
-        assert a.count == 3
-        assert a.sum == 22.5
-        assert (a.min, a.max) == (0.5, 20.0)
-        assert a.bucket_counts == [1, 1, 1]
-
     def test_empty_payload_has_null_extremes(self):
         from repro.obs import Histogram
 
@@ -174,38 +152,3 @@ class TestDerivedGauge:
         with pytest.raises(ConfigurationError):
             registry.derived_gauge("r", "", "a", ("a", "c"))
 
-
-class TestRegistryMergeNewKinds:
-    def test_histograms_merge_exactly(self):
-        a = MetricsRegistry()
-        b = MetricsRegistry()
-        a.histogram("lat", bounds=(1.0, 10.0)).observe(0.5)
-        b.histogram("lat", bounds=(1.0, 10.0)).observe(5.0)
-        a.merge(b)
-        merged = a.get("lat")
-        assert merged.count == 2
-        assert merged.sum == 5.5
-
-    def test_derived_gauge_reads_merged_operands(self):
-        a = MetricsRegistry()
-        b = MetricsRegistry()
-        a.counter("c.hits").inc(1.0)
-        b.counter("c.hits").inc(1.0)
-        b.counter("c.misses").inc(2.0)
-        b.derived_gauge("c.rate", "", "c.hits", ("c.hits", "c.misses"))
-        a.merge(b)
-        assert a.value("c.rate") == 0.5
-
-    def test_merge_is_order_deterministic(self):
-        def build(observations):
-            registry = MetricsRegistry()
-            hist = registry.histogram("lat", bounds=(1.0, 10.0))
-            for value in observations:
-                hist.observe(value)
-            return registry
-
-        sequential = build([0.5, 5.0, 50.0, 2.0])
-        merged = build([0.5, 5.0])
-        merged.merge(build([50.0, 2.0]))
-        assert merged.get("lat").payload() == sequential.get("lat").payload()
-        assert merged.snapshot() == sequential.snapshot()
