@@ -29,7 +29,14 @@ Both engines share the Arrhenius/field-acceleration rate model of
 :class:`TrapPopulation` verbatim.  The exact engine computes the scalar
 Arrhenius factors with ``safe_exp`` (``math.exp``) per chip, exactly as
 the scalar path does — ``np.exp`` differs from ``math.exp`` by one ULP on
-~4 % of inputs, which would silently break bit-identity.
+~4 % of inputs, which would silently break bit-identity — and scales each
+chip's slice of the rates by its own factor.
+
+The exact engine memoises the duty-averaged, temperature-free rate bases
+of a span (``TrapPopulation``'s "combined" cache level) in a small LRU,
+keyed by span and bias.  Instrument jitter makes each stress chunk's
+voltages unique, so an entry is admitted only on the second sighting of
+its key; the repeated readout bursts and recovery chunks are what hit.
 """
 
 from __future__ import annotations
@@ -39,10 +46,21 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.bti.traps import TrapParameters, _log_uniform
+from repro.bti.traps import TrapParameters, _log_uniform, _LruCache
 from repro.errors import ConfigurationError
 from repro.guard import get_guard, safe_exp, safe_exp_array
+from repro.obs import get_tracer
 from repro.units import BOLTZMANN_EV
+
+#: Entries the exact engine's duty-mix cache retains.  A lock-step group
+#: replays one readout-burst pattern and one recovery pattern at a time,
+#: so a handful of entries covers it; each entry is two span-sized arrays.
+FLEET_RATE_CACHE_SIZE = 4
+
+#: Key hashes remembered by the cache's admission filter.  An entry is
+#: stored only when its key's hash is already here (its second use), so
+#: per-chunk jittered stress voltages, each seen once, never occupy memory.
+_ADMISSION_HISTORY = 16
 
 
 @dataclass(frozen=True)
@@ -75,6 +93,24 @@ def draw_population(
     tau_e0 = _log_uniform(rng, params.tau_emission_bounds, n_traps)
     impact = rng.exponential(params.impact_mean_volts, size=n_traps)
     return TrapDraws(owner=owner, tau_c0=tau_c0, tau_e0=tau_e0, impact=impact)
+
+
+def chip_range(chips: slice, n_chips: int) -> tuple[int, int]:
+    """``(lo, hi)`` of a contiguous, non-empty chip slice; others raise."""
+    lo, hi, step = chips.indices(n_chips)
+    if step != 1 or hi <= lo:
+        raise ConfigurationError("fleet chip slices must be contiguous and non-empty")
+    return lo, hi
+
+
+def _span_temperatures(temperatures, k: int) -> np.ndarray:
+    """Per-chip kelvin of a ``k``-chip span as a ``(k,)`` float array."""
+    temperatures = np.asarray(temperatures, dtype=float)
+    if temperatures.shape != (k,):
+        raise ConfigurationError(
+            f"temperatures must have shape ({k},), got {temperatures.shape}"
+        )
+    return temperatures
 
 
 def _arrhenius_factors(
@@ -127,6 +163,8 @@ class FleetTraps:
         ambient guard.  Per-call override via the ``guard=`` argument of
         the evolve methods keeps per-chip budgets possible through the
         :class:`~repro.fpga.fleet.ChipView` facade.
+    tracer:
+        Receives the rate-cache counters; defaults to the ambient tracer.
     """
 
     def __init__(
@@ -135,6 +173,7 @@ class FleetTraps:
         n_owners: int,
         draws: Sequence[TrapDraws],
         guard=None,
+        tracer=None,
     ) -> None:
         if n_owners <= 0:
             raise ConfigurationError(f"n_owners must be positive, got {n_owners}")
@@ -147,6 +186,7 @@ class FleetTraps:
         self.trap_counts = trap_counts
         #: trap_offsets[i]:trap_offsets[i+1] is chip i's span in the flat arrays.
         self.trap_offsets = np.concatenate(([0], np.cumsum(trap_counts)))
+        self._offsets = self.trap_offsets.tolist()
         self.owner_global = np.concatenate(
             [d.owner + index * n_owners for index, d in enumerate(draws)]
         )
@@ -163,7 +203,26 @@ class FleetTraps:
         self._scratch_total = np.empty(n_total)
         self._scratch_pinf = np.empty(n_total)
         self._scratch_weights = np.empty(n_total)
+        # Owner-resolution voltage factors of a span starting at chip lo
+        # are written at offset lo * n_owners, so the flat owner_global
+        # index gathers them without a per-call rebased copy; the leading
+        # pad is never read.
+        self._vfac_c = np.zeros(self.n_chips * n_owners)
+        self._vfac_e = np.zeros(self.n_chips * n_owners)
+        # Duty-averaged, temperature-free rate bases, keyed by span and
+        # bias (TrapPopulation's "combined" level).  Temperature jitters
+        # on every chunk, so a temperature-keyed level would never hit.
+        self._comb_cache = _LruCache(FLEET_RATE_CACHE_SIZE)
+        self._seen_keys = _LruCache(_ADMISSION_HISTORY)
         self._guard = guard if guard is not None else get_guard()
+        tracer = tracer if tracer is not None else get_tracer()
+        self._cache_partial_hits = tracer.counter(
+            "bti.rate_cache.partial_hits",
+            "rate lookups that reused cached voltage factors",
+        )
+        self._cache_misses = tracer.counter(
+            "bti.rate_cache.misses", "rate lookups that recomputed voltage factors"
+        )
 
     # ------------------------------------------------------------------ #
     # spans
@@ -176,16 +235,8 @@ class FleetTraps:
 
     def _span(self, chips: slice) -> tuple[slice, int, int]:
         """(trap span, first chip, chip count) of a contiguous chip slice."""
-        lo, hi, step = chips.indices(self.n_chips)
-        if step != 1 or hi <= lo:
-            raise ConfigurationError("fleet chip slices must be contiguous and non-empty")
-        return slice(int(self.trap_offsets[lo]), int(self.trap_offsets[hi])), lo, hi - lo
-
-    def _gather_index(self, trap_span: slice, lo: int) -> np.ndarray:
-        """Owner-gather index local to a chip span's flat owner block."""
-        if lo == 0:
-            return self.owner_global[trap_span]
-        return self.owner_global[trap_span] - lo * self.n_owners
+        lo, hi = chip_range(chips, self.n_chips)
+        return slice(self._offsets[lo], self._offsets[hi]), lo, hi - lo
 
     # ------------------------------------------------------------------ #
     # physics
@@ -202,16 +253,63 @@ class FleetTraps:
         what makes the result bit-identical to per-chip evaluation).
         """
         p = self.params
-        vfac_c = safe_exp_array(
+        pad = lo * self.n_owners
+        vfac_c = self._vfac_c[: pad + v_owner_flat.size]
+        vfac_e = self._vfac_e[: pad + v_owner_flat.size]
+        vfac_c[pad:] = safe_exp_array(
             p.gamma_capture_per_volt * (v_owner_flat - p.reference_stress_voltage)
         )
-        vfac_e = safe_exp_array(
+        vfac_e[pad:] = safe_exp_array(
             -p.gamma_emission_per_volt * (v_owner_flat - p.reference_recovery_voltage)
         )
-        gather = self._gather_index(trap_span, lo)
-        base_c = self._inv_tau_c0[trap_span] * vfac_c[gather]
-        base_e = self._inv_tau_e0[trap_span] * vfac_e[gather]
+        owner = self.owner_global[trap_span]
+        base_c = self._inv_tau_c0[trap_span] * vfac_c[owner]
+        base_e = self._inv_tau_e0[trap_span] * vfac_e[owner]
         return base_c, base_e
+
+    def _mixed_rates(
+        self,
+        v_stress: np.ndarray,
+        duty: float,
+        v_relax: np.ndarray | None,
+        trap_span: slice,
+        lo: int,
+        k: int,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Duty-averaged, temperature-free rate bases of a span (memoised).
+
+        The scalar Arrhenius factors distribute over the duty mix, so the
+        mix can be cached and scaled per chip afterwards.  An entry is
+        admitted on the second sighting of its key: jittered stress
+        voltages are seen once and would only churn the cache.  Returned
+        arrays may be shared with the cache; callers must not mutate them.
+        """
+        v_stress = np.asarray(v_stress, dtype=float)
+        relax = None
+        if duty < 1.0:  # callers validate duty <= 1.0, so the rest is pure DC
+            relax = np.zeros_like(v_stress) if v_relax is None else np.asarray(v_relax, dtype=float)
+        key = (lo, k, v_stress.tobytes(), None if relax is None else relax.tobytes(), duty)
+        comb = self._comb_cache.get(key)
+        if comb is not None:
+            self._cache_partial_hits.inc()
+            return comb
+        self._cache_misses.inc()
+        comb_c, comb_e = self._base_rates(np.ravel(v_stress), trap_span, lo)
+        if relax is not None:
+            relax_c, relax_e = self._base_rates(np.ravel(relax), trap_span, lo)
+            suppression = self.params.ac_capture_suppression ** (1.0 - duty)
+            comb_c = duty * suppression * comb_c + (1.0 - duty) * relax_c
+            comb_e = duty * comb_e + (1.0 - duty) * relax_e
+        # A hash collision only admits an entry early; values are still
+        # looked up by the full key, so results cannot change.
+        digest = hash(key)
+        if self._seen_keys.get(digest) is None:
+            self._seen_keys.put(digest, True)
+        else:
+            comb_c.flags.writeable = False
+            comb_e.flags.writeable = False
+            self._comb_cache.put(key, (comb_c, comb_e))
+        return comb_c, comb_e
 
     def _effective_rates(
         self,
@@ -223,22 +321,22 @@ class FleetTraps:
         lo: int,
         guard,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Duty-averaged per-trap rates for a contiguous chip span."""
-        base_c, base_e = self._base_rates(np.ravel(v_stress), trap_span, lo)
-        if duty >= 1.0:
-            comb_c, comb_e = base_c, base_e
-        else:
-            relax = (
-                np.zeros_like(v_stress) if v_relax is None else np.asarray(v_relax)
-            )
-            relax_c, relax_e = self._base_rates(np.ravel(relax), trap_span, lo)
-            suppression = self.params.ac_capture_suppression ** (1.0 - duty)
-            comb_c = duty * suppression * base_c + (1.0 - duty) * relax_c
-            comb_e = duty * base_e + (1.0 - duty) * relax_e
+        """Duty-averaged per-trap rates for a contiguous chip span.
+
+        Each chip's slice is scaled by its own scalar Arrhenius factor,
+        the same IEEE product the single-chip path computes.
+        """
+        k = temperatures.size
+        comb_c, comb_e = self._mixed_rates(v_stress, duty, v_relax, trap_span, lo, k)
         arr_c, arr_e = _arrhenius_factors(self.params, temperatures)
-        counts = self.trap_counts[lo : lo + temperatures.size]
-        capture = comb_c * np.repeat(arr_c, counts)
-        emission = comb_e * np.repeat(arr_e, counts)
+        capture = np.empty(comb_c.size)
+        emission = np.empty(comb_e.size)
+        base = self._offsets[lo]
+        for index in range(k):
+            a = self._offsets[lo + index] - base
+            b = self._offsets[lo + index + 1] - base
+            np.multiply(comb_c[a:b], arr_c[index], out=capture[a:b])
+            np.multiply(comb_e[a:b], arr_e[index], out=emission[a:b])
         if guard.checking:
             rate_cap = guard.config.rate_cap
             inputs = {"duty": float(duty), "fleet_chips": int(temperatures.size)}
@@ -272,11 +370,7 @@ class FleetTraps:
             return
         guard = guard if guard is not None else self._guard
         trap_span, lo, k = self._span(chips)
-        temperatures = np.asarray(temperatures, dtype=float)
-        if temperatures.shape != (k,):
-            raise ConfigurationError(
-                f"temperatures must have shape ({k},), got {temperatures.shape}"
-            )
+        temperatures = _span_temperatures(temperatures, k)
         capture, emission = self._effective_rates(
             v_stress, temperatures, duty, v_relax, trap_span, lo, guard
         )
@@ -388,22 +482,26 @@ class FleetTraps:
             self.impact[trap_span],
             out=self._scratch_weights[trap_span],
         )
-        counts = np.bincount(
-            self._gather_index(trap_span, lo),
-            weights=weights,
-            minlength=k * self.n_owners,
-        )
-        return counts.reshape(k, self.n_owners)
+        return self._owner_sums(weights, trap_span, lo, k)
 
     def max_delta_vth(self, chips: slice = slice(None)) -> np.ndarray:
         """Per-chip per-owner ceiling on :meth:`delta_vth` (all traps occupied)."""
         trap_span, lo, k = self._span(chips)
+        return self._owner_sums(self.impact[trap_span], trap_span, lo, k)
+
+    def _owner_sums(
+        self, weights: np.ndarray, trap_span: slice, lo: int, k: int
+    ) -> np.ndarray:
+        """``(k, n_owners)`` per-owner sums of a span's per-trap weights.
+
+        Bins by the flat owner index and drops the ``lo * n_owners``
+        leading (empty) bins; each bin's sum is unchanged by the offset.
+        """
+        pad = lo * self.n_owners
         counts = np.bincount(
-            self._gather_index(trap_span, lo),
-            weights=self.impact[trap_span],
-            minlength=k * self.n_owners,
+            self.owner_global[trap_span], weights=weights, minlength=pad + k * self.n_owners
         )
-        return counts.reshape(k, self.n_owners)
+        return counts[pad:].reshape(k, self.n_owners)
 
     def occupancy_row(self, index: int) -> np.ndarray:
         """Copy of one chip's occupancy slice (checkpoint/export form)."""
@@ -583,12 +681,14 @@ class BinnedFleetTraps:
         the duty-averaged rate combination (including the AC capture
         suppression) matches ``TrapPopulation._effective_rates``.
         """
+        if duration < 0.0:
+            raise ConfigurationError(f"duration must be non-negative, got {duration}")
+        if not 0.0 <= duty <= 1.0:
+            raise ConfigurationError(f"duty must be within [0, 1], got {duty}")
         if duration <= 0.0:
-            if duration < 0.0:
-                raise ConfigurationError(f"duration must be non-negative, got {duration}")
             return
-        lo, hi, _ = chips.indices(self.n_chips)
-        temperatures = np.asarray(temperatures, dtype=float)
+        lo, hi = chip_range(chips, self.n_chips)
+        temperatures = _span_temperatures(temperatures, hi - lo)
         p = self.grid.params
         inv_kt = 1.0 / (BOLTZMANN_EV * temperatures)
         inv_kt_ref = 1.0 / (BOLTZMANN_EV * p.reference_temperature)
@@ -644,7 +744,7 @@ class BinnedFleetTraps:
 
     def readout_shift(self, chips: slice = slice(None)) -> np.ndarray:
         """Per-chip delay shift: one dot product of occupancy x weights."""
-        lo, hi, _ = chips.indices(self.n_chips)
+        lo, hi = chip_range(chips, self.n_chips)
         shift = np.einsum(
             "ij,ij->i", self.occupancy[lo:hi], self.readout_weight[lo:hi]
         )

@@ -29,6 +29,7 @@ from repro.bti.fleet import (
     FleetTraps,
     TrapDraws,
     TrapGrid,
+    chip_range,
     draw_population,
 )
 from repro.device.technology import TechnologyParameters, TECH_40NM
@@ -122,10 +123,12 @@ class FleetChip:
         )
         if fidelity == "exact":
             self._pmos = FleetTraps(
-                tech.nbti_traps, self._pmos_owners.size, draws_p, guard=self.guard
+                tech.nbti_traps, self._pmos_owners.size, draws_p,
+                guard=self.guard, tracer=self.tracer,
             )
             self._nmos = FleetTraps(
-                tech.pbti_traps, self._nmos_owners.size, draws_n, guard=self.guard
+                tech.pbti_traps, self._nmos_owners.size, draws_n,
+                guard=self.guard, tracer=self.tracer,
             )
             caps = np.zeros((self.n_chips, n_owners))
             caps[:, self._pmos_owners] = self._pmos.max_delta_vth()
@@ -176,12 +179,6 @@ class FleetChip:
     # bias application (lock-step groups)
     # ------------------------------------------------------------------ #
 
-    def _indices(self, chips: slice) -> tuple[int, int]:
-        lo, hi, step = chips.indices(self.n_chips)
-        if step != 1 or hi <= lo:
-            raise ConfigurationError("fleet chip slices must be contiguous and non-empty")
-        return lo, hi
-
     def _check_temperatures(self, temperatures: np.ndarray) -> np.ndarray:
         temperatures = np.asarray(temperatures, dtype=float)
         for temperature in temperatures:
@@ -204,7 +201,7 @@ class FleetChip:
         delivered values; the bias pattern (DC freeze or AC oscillation)
         is shared — lock-step groups always run the same phase.
         """
-        lo, hi = self._indices(chips)
+        lo, hi = chip_range(chips, self.n_chips)
         supplies = np.asarray(supplies, dtype=float)
         if np.any(supplies <= 0.0):
             raise ConfigurationError("stress requires a positive supply; use apply_recovery")
@@ -230,7 +227,7 @@ class FleetChip:
         guard=None,
     ) -> None:
         """Recover a contiguous chip span (0 V passive or negative rail)."""
-        lo, hi = self._indices(chips)
+        lo, hi = chip_range(chips, self.n_chips)
         supplies = np.asarray(supplies, dtype=float)
         for supply in supplies:
             if supply > 0.0:
@@ -313,7 +310,7 @@ class FleetChip:
         """Per-chip per-owner threshold shifts, ``(k, n_owners)`` (exact only)."""
         if self.fidelity != "exact":
             raise ConfigurationError("per-owner delta_vth needs the exact fidelity")
-        lo, hi = self._indices(chips)
+        lo, hi = chip_range(chips, self.n_chips)
         span = slice(lo, hi)
         shifts = np.zeros((hi - lo, self.netlist.n_owners))
         shifts[:, self._pmos_owners] = self._pmos.delta_vth(span)
@@ -336,7 +333,7 @@ class FleetChip:
         operation (including both guard contracts); binned fidelity reads
         the pooled linear observable of each population.
         """
-        lo, hi = self._indices(chips)
+        lo, hi = chip_range(chips, self.n_chips)
         span = slice(lo, hi)
         guard = guard if guard is not None else self.guard
         if self.fidelity == "exact":
