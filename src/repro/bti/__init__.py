@@ -5,7 +5,8 @@ Three model families live here:
 * :mod:`repro.bti.traps` — a microscopic trapping/detrapping ensemble with
   exact closed-form occupancy evolution per bias phase.  This is the
   library's "virtual silicon": everything the virtual FPGA testbed measures
-  is ultimately produced by these traps.
+  is ultimately produced by these traps.  One engine evolves them,
+  :class:`repro.bti.fleet.FleetTraps`, for a single chip and for a lot.
 * :mod:`repro.bti.firstorder` — the paper's first-order closed forms
   (Eqs. 1–4 at device level, Eqs. 8–13 at path-delay level), used for
   parameter extraction and model-vs-measurement validation exactly as the

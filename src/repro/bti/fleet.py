@@ -1,18 +1,17 @@
-"""Struct-of-arrays trap engine: one ``evolve`` call ages a wafer lot.
+"""Struct-of-arrays trap engines: one ``evolve`` call ages a wafer lot.
 
-:class:`TrapPopulation` simulates one chip's traps; campaigns over many
-chips pay the full numpy dispatch and guard overhead once per chip per
-chunk.  This module batches the same physics across chips:
+Every trap ensemble in the library evolves here.  Per-chip dispatch and
+guard overhead are paid once per chip span per chunk, not once per chip:
 
 * :class:`FleetTraps` — the *exact* engine.  Per-chip trap arrays (drawn
-  with :func:`draw_population`, stream-identical to
-  ``TrapPopulation.__init__``) are concatenated into flat struct-of-arrays
-  state with a global owner index, so one elementwise update advances
-  every trap of every chip.  Because the update is elementwise and numpy
-  elementwise kernels are value-identical across slicing/concatenation,
-  the exact engine is bit-identical to evolving each chip's
-  :class:`TrapPopulation` on its own — the fleet facade-equivalence
-  contract (see ``tests/fleet``).
+  with :func:`draw_population`) are concatenated into flat
+  struct-of-arrays state with a global owner index, so one elementwise
+  update advances every trap of every chip.  Because the update is
+  elementwise and numpy elementwise kernels are value-identical across
+  slicing/concatenation, each chip's row is bit-identical to evolving
+  that chip alone.  :class:`~repro.bti.traps.TrapPopulation` is a
+  one-chip view of this engine, so a chip aged alone and the same chip
+  aged in a lot run the same code.
 
 * :class:`BinnedFleetTraps` — the *population-scale* engine.  Each chip's
   traps are quantised onto a shared log-log (tau_c, tau_e) grid per
@@ -25,37 +24,38 @@ chunk.  This module batches the same physics across chips:
   distributions but *not* bit-identical to the exact engine — use it for
   10k-chip fleets, never for bit-identity checks.
 
-Both engines share the Arrhenius/field-acceleration rate model of
-:class:`TrapPopulation` verbatim.  The exact engine computes the scalar
-Arrhenius factors with ``safe_exp`` (``math.exp``) per chip, exactly as
-the scalar path does — ``np.exp`` differs from ``math.exp`` by one ULP on
-~4 % of inputs, which would silently break bit-identity — and scales each
-chip's slice of the rates by its own factor.
+Both engines use the Arrhenius/field-acceleration rate model of
+:class:`~repro.bti.traps.TrapParameters`.  The exact engine computes the
+scalar Arrhenius factors with ``safe_exp`` (``math.exp``) per chip —
+``np.exp`` differs from ``math.exp`` by one ULP on ~4 % of inputs, which
+would silently break bit-identity — and scales each chip's slice of the
+rates by its own factor.
 
 The exact engine memoises the duty-averaged, temperature-free rate bases
-of a span (``TrapPopulation``'s "combined" cache level) in a small LRU,
-keyed by span and bias.  Instrument jitter makes each stress chunk's
-voltages unique, so an entry is admitted only on the second sighting of
-its key; the repeated readout bursts and recovery chunks are what hit.
+of a span in a small LRU, keyed by span and bias.  Instrument jitter
+makes each stress chunk's voltages unique, so an entry is admitted only
+on the second sighting of its key; the repeated readout bursts and
+recovery chunks are what hit.  Restoring a chip's state drops the cache.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from repro.bti.traps import TrapParameters, _log_uniform, _LruCache
+from repro.bti.traps import TrapParameters, _arrhenius
 from repro.errors import ConfigurationError
-from repro.guard import get_guard, safe_exp, safe_exp_array
+from repro.guard import get_guard, safe_exp_array
 from repro.obs import get_tracer
 from repro.units import BOLTZMANN_EV
 
 #: Entries the exact engine's duty-mix cache retains.  A lock-step group
 #: replays one readout-burst pattern and one recovery pattern at a time,
 #: so a handful of entries covers it; each entry is two span-sized arrays.
-FLEET_RATE_CACHE_SIZE = 4
+MIX_CACHE_ENTRIES = 4
 
 #: Key hashes remembered by the cache's admission filter.  An entry is
 #: stored only when its key's hash is already here (its second use), so
@@ -63,13 +63,48 @@ FLEET_RATE_CACHE_SIZE = 4
 _ADMISSION_HISTORY = 16
 
 
+class _LruCache:
+    """A tiny bounded LRU map (the rate cache; not thread-safe)."""
+
+    def __init__(self, maxsize: int) -> None:
+        self.maxsize = maxsize
+        self._entries: OrderedDict = OrderedDict()
+
+    def get(self, key):
+        """The cached value, refreshed as most recent, or ``None``."""
+        value = self._entries.get(key)
+        if value is not None:
+            self._entries.move_to_end(key)
+        return value
+
+    def put(self, key, value) -> None:
+        """Insert a value, evicting the least recently used past the bound."""
+        self._entries[key] = value
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.maxsize:
+            self._entries.popitem(last=False)
+
+    def clear(self) -> None:
+        """Drop every entry."""
+        self._entries.clear()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+def _log_uniform(rng: np.random.Generator, bounds: tuple[float, float], size: int) -> np.ndarray:
+    lo, hi = bounds
+    # Bounded by construction: the exponent is a draw in [log lo, log hi].
+    return np.exp(rng.uniform(np.log(lo), np.log(hi), size=size))  # repro: noqa[RPR006]
+
+
 @dataclass(frozen=True)
 class TrapDraws:
     """One chip-population's frozen random draws (no mutable state).
 
-    Drawn by :func:`draw_population` in exactly the order
-    ``TrapPopulation.__init__`` consumes its generator, so a fleet built
-    from the same child streams holds bit-identical trap constants.
+    Drawn by :func:`draw_population`, the only trap draw in the library,
+    so a chip built from the same child stream holds bit-identical trap
+    constants whether it is a lone ``TrapPopulation`` or a lot member.
     """
 
     owner: np.ndarray
@@ -85,7 +120,7 @@ class TrapDraws:
 def draw_population(
     params: TrapParameters, n_owners: int, rng: np.random.Generator
 ) -> TrapDraws:
-    """Draw one population's constants, stream-identical to ``TrapPopulation``."""
+    """Draw one population's constants: counts, both taus, then impacts."""
     counts = rng.poisson(params.mean_trap_count, size=n_owners)
     owner = np.repeat(np.arange(n_owners), counts)
     n_traps = int(counts.sum())
@@ -103,32 +138,30 @@ def chip_range(chips: slice, n_chips: int) -> tuple[int, int]:
     return lo, hi
 
 
-def _span_temperatures(temperatures, k: int) -> np.ndarray:
-    """Per-chip kelvin of a ``k``-chip span as a ``(k,)`` float array."""
+def _check_phase(
+    duration: float, duty: float, temperatures, k: int, width: int, *voltages
+) -> np.ndarray:
+    """Validate one phase of a ``k``-chip span; its ``(k,)`` kelvin as floats.
+
+    ``duration`` must be non-negative, ``duty`` within [0, 1], every
+    voltage block (``None`` skipped) of shape ``(k, width)`` and
+    ``temperatures`` of shape ``(k,)``.
+    """
+    if duration < 0.0:
+        raise ConfigurationError(f"duration must be non-negative, got {duration}")
+    if not 0.0 <= duty <= 1.0:
+        raise ConfigurationError(f"duty must be within [0, 1], got {duty}")
+    for block in voltages:
+        if block is not None and np.shape(block) != (k, width):
+            raise ConfigurationError(
+                f"voltage blocks must have shape ({k}, {width}), got {np.shape(block)}"
+            )
     temperatures = np.asarray(temperatures, dtype=float)
     if temperatures.shape != (k,):
         raise ConfigurationError(
             f"temperatures must have shape ({k},), got {temperatures.shape}"
         )
     return temperatures
-
-
-def _arrhenius_factors(
-    params: TrapParameters, temperatures: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-chip scalar Arrhenius factors, one ``safe_exp`` pair per chip.
-
-    Scalar ``math.exp`` on purpose: the single-chip path uses it, and
-    bit-identity of the exact engine hinges on matching it exactly.
-    """
-    arr_c = np.empty(temperatures.size)
-    arr_e = np.empty(temperatures.size)
-    inv_kt_ref = 1.0 / (BOLTZMANN_EV * params.reference_temperature)
-    for index, temperature in enumerate(temperatures):
-        inv_kt = 1.0 / (BOLTZMANN_EV * float(temperature))
-        arr_c[index] = safe_exp(-params.ea_capture_ev * (inv_kt - inv_kt_ref))
-        arr_e[index] = safe_exp(-params.ea_emission_ev * (inv_kt - inv_kt_ref))
-    return arr_c, arr_e
 
 
 @dataclass(frozen=True)
@@ -190,19 +223,18 @@ class FleetTraps:
         self.owner_global = np.concatenate(
             [d.owner + index * n_owners for index, d in enumerate(draws)]
         )
-        tau_c0 = np.concatenate([d.tau_c0 for d in draws])
-        tau_e0 = np.concatenate([d.tau_e0 for d in draws])
+        self.tau_c0 = np.concatenate([d.tau_c0 for d in draws])
+        self.tau_e0 = np.concatenate([d.tau_e0 for d in draws])
         self.impact = np.concatenate([d.impact for d in draws])
-        self._inv_tau_c0 = 1.0 / tau_c0
-        self._inv_tau_e0 = 1.0 / tau_e0
+        self._inv_tau_c0 = 1.0 / self.tau_c0
+        self._inv_tau_e0 = 1.0 / self.tau_e0
         n_total = int(trap_counts.sum())
         self.occupancy = np.zeros(n_total)
-        #: Per-chip simulated seconds, advanced exactly like
-        #: ``TrapPopulation.elapsed`` (same scalar additions, same order).
+        #: Per-chip simulated seconds (one float64 addition per phase).
         self.elapsed = np.zeros(self.n_chips)
+        # Update scratch; free between calls, so delta_vth reuses one.
         self._scratch_total = np.empty(n_total)
         self._scratch_pinf = np.empty(n_total)
-        self._scratch_weights = np.empty(n_total)
         # Owner-resolution voltage factors of a span starting at chip lo
         # are written at offset lo * n_owners, so the flat owner_global
         # index gathers them without a per-call rebased copy; the leading
@@ -210,9 +242,9 @@ class FleetTraps:
         self._vfac_c = np.zeros(self.n_chips * n_owners)
         self._vfac_e = np.zeros(self.n_chips * n_owners)
         # Duty-averaged, temperature-free rate bases, keyed by span and
-        # bias (TrapPopulation's "combined" level).  Temperature jitters
-        # on every chunk, so a temperature-keyed level would never hit.
-        self._comb_cache = _LruCache(FLEET_RATE_CACHE_SIZE)
+        # bias.  Chamber temperature jitters on every chunk, so a
+        # temperature-keyed level would never hit.
+        self._comb_cache = _LruCache(MIX_CACHE_ENTRIES)
         self._seen_keys = _LruCache(_ADMISSION_HISTORY)
         self._guard = guard if guard is not None else get_guard()
         tracer = tracer if tracer is not None else get_tracer()
@@ -245,12 +277,13 @@ class FleetTraps:
     def _base_rates(
         self, v_owner_flat: np.ndarray, trap_span: slice, lo: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Temperature-free rate bases, op-for-op the scalar ``_base_rates``.
+        """Temperature-free per-trap rate bases ``(1/tau) * exp(gamma*dV)``.
 
         ``v_owner_flat`` is the raveled ``(k, n_owners)`` voltage block of
         the span.  The voltage factor is computed at owner resolution and
-        expanded by gather, exactly like the single-chip path (which is
-        what makes the result bit-identical to per-chip evaluation).
+        expanded by gather — ``exp(x)[owner]`` equals ``exp(x[owner])``
+        bit-for-bit at a fraction of the exp cost, since owners are ~100x
+        fewer than traps.
         """
         p = self.params
         pad = lo * self.n_owners
@@ -328,18 +361,27 @@ class FleetTraps:
         """
         k = temperatures.size
         comb_c, comb_e = self._mixed_rates(v_stress, duty, v_relax, trap_span, lo, k)
-        arr_c, arr_e = _arrhenius_factors(self.params, temperatures)
         capture = np.empty(comb_c.size)
         emission = np.empty(comb_e.size)
         base = self._offsets[lo]
-        for index in range(k):
+        for index, temperature in enumerate(temperatures.tolist()):
+            arr_c, arr_e = _arrhenius(self.params, temperature)
             a = self._offsets[lo + index] - base
             b = self._offsets[lo + index + 1] - base
-            np.multiply(comb_c[a:b], arr_c[index], out=capture[a:b])
-            np.multiply(comb_e[a:b], arr_e[index], out=emission[a:b])
+            np.multiply(comb_c[a:b], arr_c, out=capture[a:b])
+            np.multiply(comb_e[a:b], arr_e, out=emission[a:b])
         if guard.checking:
+            # Each factor is exp-clamped, but their product can still
+            # overflow to inf; repair/raise before the update reads it.
             rate_cap = guard.config.rate_cap
-            inputs = {"duty": float(duty), "fleet_chips": int(temperatures.size)}
+
+            def inputs() -> dict:
+                return {
+                    "temperature": temperatures.tolist(),
+                    "duty": float(duty),
+                    "fleet_chips": int(k),
+                }
+
             capture = guard.check_array("bti.rate", capture, 0.0, rate_cap, inputs=inputs)
             emission = guard.check_array("bti.rate", emission, 0.0, rate_cap, inputs=inputs)
         return capture, emission
@@ -357,20 +399,20 @@ class FleetTraps:
         """Advance every trap of a chip span through one phase.
 
         ``v_stress`` / ``v_relax`` are ``(k, n_owners)`` per-chip voltage
-        patterns and ``temperatures`` the per-chip delivered kelvin.  The
-        update sequence mirrors ``TrapPopulation.evolve`` operation for
-        operation (scratch buffers included), so each chip's occupancy
-        row is bit-identical to evolving it alone.
+        patterns (``v_relax`` defaults to 0 V) and ``temperatures`` the
+        per-chip delivered kelvin.  With a duty cycle below 1.0 the off
+        fraction sits at ``v_relax``.  The update is the exact solution of
+        the occupancy ODE with duty-averaged rates,
+        ``p' = p_inf + (p - p_inf) * exp(-(rc+re)*dt)``, elementwise, so
+        each chip's occupancy row is bit-identical to evolving it alone.
         """
-        if duration < 0.0:
-            raise ConfigurationError(f"duration must be non-negative, got {duration}")
-        if not 0.0 <= duty <= 1.0:
-            raise ConfigurationError(f"duty must be within [0, 1], got {duty}")
-        if duration <= 0.0:
+        trap_span, lo, k = self._span(chips)
+        temperatures = _check_phase(
+            duration, duty, temperatures, k, self.n_owners, v_stress, v_relax
+        )
+        if duration <= 0.0:  # zero-length phase is a no-op (negatives raise above)
             return
         guard = guard if guard is not None else self._guard
-        trap_span, lo, k = self._span(chips)
-        temperatures = _span_temperatures(temperatures, k)
         capture, emission = self._effective_rates(
             v_stress, temperatures, duty, v_relax, trap_span, lo, guard
         )
@@ -393,11 +435,19 @@ class FleetTraps:
                 inputs=lambda: {
                     "op": "fleet.evolve",
                     "duration": float(duration),
+                    "temperature": temperatures.tolist(),
                     "duty": float(duty),
                     "fleet_chips": int(k),
+                    "elapsed": self.elapsed[lo : lo + k].tolist(),
                 },
                 arrays=lambda: {
-                    "occupancy": occupancy,
+                    **self._bundle_arrays(trap_span, lo),
+                    "stress_voltage": np.asarray(v_stress, dtype=float),
+                    "relax_voltage": (
+                        np.zeros((k, self.n_owners))
+                        if v_relax is None
+                        else np.asarray(v_relax, dtype=float)
+                    ),
                     "temperatures": temperatures,
                 },
             )
@@ -407,9 +457,18 @@ class FleetTraps:
     ) -> None:
         """``n`` repetitions of a fixed phase sequence, O(1) in ``n``.
 
-        Same affine-composition closed form as
-        ``TrapPopulation.evolve_cycles``, evaluated on the batched
-        arrays; per-chip rows are bit-identical to the single-chip path.
+        Every :meth:`evolve` is an elementwise affine map ``p' = a*p + b``
+        with ``a = exp(-(rc+re)*dt)`` and ``b = p_inf*(1 - a)``, so one
+        full cycle composes to an affine map ``p' = a_c*p + b_c`` and N
+        identical cycles to the exact closed form::
+
+            p' = a_c**N * p  +  b_c * (1 - a_c**N) / (1 - a_c)
+
+        The cycle decay is accumulated as an exponent sum (``a_c =
+        exp(-X)`` with ``X = sum((rc+re)*dt)``) and ``1 - a_c`` is
+        evaluated via ``expm1`` so slow traps keep full precision.  Every
+        phase is validated like an :meth:`evolve` call before any state
+        changes.
         """
         if n < 0:
             raise ConfigurationError(f"cycle count must be non-negative, got {n}")
@@ -417,19 +476,26 @@ class FleetTraps:
             raise ConfigurationError("evolve_cycles needs at least one phase")
         if n == 0:
             return
-        guard = guard if guard is not None else self._guard
         trap_span, lo, k = self._span(chips)
+        temperatures = [
+            _check_phase(
+                phase.duration, phase.duty, phase.temperatures, k, self.n_owners,
+                phase.v_stress, phase.v_relax,
+            )
+            for phase in phases
+        ]
+        guard = guard if guard is not None else self._guard
         n_span = trap_span.stop - trap_span.start
         exponent = np.zeros(n_span)
         offset = np.zeros(n_span)
         period = 0.0
-        for phase in phases:
+        for phase, phase_temperatures in zip(phases, temperatures):
             period += phase.duration
             if phase.duration <= 0.0:
                 continue
             capture, emission = self._effective_rates(
                 phase.v_stress,
-                np.asarray(phase.temperatures, dtype=float),
+                phase_temperatures,
                 phase.duty,
                 phase.v_relax,
                 trap_span,
@@ -442,6 +508,8 @@ class FleetTraps:
             offset = offset * np.exp(-x) + (capture / total) * -np.expm1(-x)  # repro: noqa[RPR006]
             exponent = exponent + x
         one_minus_ac = -np.expm1(-exponent)
+        # Geometric-series ratio (1 - a_c**n)/(1 - a_c); when the cycle
+        # decay underflows to the identity the series degenerates to n.
         ratio = np.where(
             one_minus_ac > 0.0,
             -np.expm1(-n * exponent) / np.where(one_minus_ac > 0.0, one_minus_ac, 1.0),
@@ -463,8 +531,24 @@ class FleetTraps:
                     "n": int(n),
                     "period": float(period),
                     "fleet_chips": int(k),
+                    "elapsed": self.elapsed[lo : lo + k].tolist(),
                 },
+                arrays=lambda: self._bundle_arrays(trap_span, lo),
             )
+
+    def _bundle_arrays(self, trap_span: slice, lo: int) -> dict:
+        """A span's trap arrays for a guard repro bundle (violation slow path).
+
+        ``owner`` is span-local (chip ``lo + i`` owns bins ``i * n_owners``
+        onwards), so a one-chip span carries the chip's own owner index.
+        """
+        return {
+            "occupancy": self.occupancy[trap_span],
+            "tau_c0": self.tau_c0[trap_span],
+            "tau_e0": self.tau_e0[trap_span],
+            "impact": self.impact[trap_span],
+            "owner": self.owner_global[trap_span] - lo * self.n_owners,
+        }
 
     # ------------------------------------------------------------------ #
     # observables / state
@@ -474,13 +558,13 @@ class FleetTraps:
         """Per-chip per-owner expected threshold shift, ``(k, n_owners)``.
 
         One bincount over the span's traps; row ``i`` is bit-identical to
-        ``TrapPopulation.delta_vth`` on chip ``lo + i`` alone.
+        the shift of chip ``lo + i`` evolved alone.
         """
         trap_span, lo, k = self._span(chips)
         weights = np.multiply(
             self.occupancy[trap_span],
             self.impact[trap_span],
-            out=self._scratch_weights[trap_span],
+            out=self._scratch_pinf[trap_span],
         )
         return self._owner_sums(weights, trap_span, lo, k)
 
@@ -509,13 +593,18 @@ class FleetTraps:
         return self.occupancy[span].copy()
 
     def set_occupancy_row(self, index: int, occupancy: np.ndarray, elapsed: float) -> None:
-        """Restore one chip's occupancy slice (checkpoint/import form)."""
+        """Restore one chip's occupancy slice (checkpoint/import form).
+
+        Drops the rate cache: a restored state must never read rates
+        memoised on another trajectory.
+        """
         span = slice(int(self.trap_offsets[index]), int(self.trap_offsets[index + 1]))
         occupancy = np.asarray(occupancy, dtype=float)
         if occupancy.shape != (span.stop - span.start,):
             raise ConfigurationError("snapshot does not match this fleet population")
         self.occupancy[span] = occupancy
         self.elapsed[index] = float(elapsed)
+        self._comb_cache.clear()
 
     def inject_upset(self, index: int, value: float, n_traps: int = 64) -> None:
         """Fault-injection hook: corrupt the head of one chip's trap span."""
@@ -679,16 +768,14 @@ class BinnedFleetTraps:
 
         With ``duty < 1`` the off fraction sits at ``v_class_relax`` and
         the duty-averaged rate combination (including the AC capture
-        suppression) matches ``TrapPopulation._effective_rates``.
+        suppression) matches the exact engine's.
         """
-        if duration < 0.0:
-            raise ConfigurationError(f"duration must be non-negative, got {duration}")
-        if not 0.0 <= duty <= 1.0:
-            raise ConfigurationError(f"duty must be within [0, 1], got {duty}")
+        lo, hi = chip_range(chips, self.n_chips)
+        temperatures = _check_phase(
+            duration, duty, temperatures, hi - lo, self.grid.n_classes, v_class, v_class_relax
+        )
         if duration <= 0.0:
             return
-        lo, hi = chip_range(chips, self.n_chips)
-        temperatures = _span_temperatures(temperatures, hi - lo)
         p = self.grid.params
         inv_kt = 1.0 / (BOLTZMANN_EV * temperatures)
         inv_kt_ref = 1.0 / (BOLTZMANN_EV * p.reference_temperature)

@@ -4,7 +4,7 @@ The aggregate log(1+Ct) stress law and fast-then-logarithmic recovery that
 the paper's first-order model (Eqs. 1-4) captures emerge microscopically
 from an ensemble of independent oxide traps whose capture and emission time
 constants are distributed log-uniformly over many decades [Velamala et al.,
-DAC 2012].  This module implements that ensemble directly:
+DAC 2012].  This module describes that ensemble:
 
 * each trap ``i`` has a capture time constant ``tau_c0[i]`` (at the
   reference stress bias) and an emission time constant ``tau_e0[i]`` (at
@@ -18,11 +18,16 @@ DAC 2012].  This module implements that ensemble directly:
 The population is vectorised across *all* transistors of a chip: traps are
 stored in flat arrays with an ``owner`` index, so evolving a 75-LUT ring
 oscillator over a 24 h phase is a handful of numpy operations.
+
+One engine evolves every ensemble: :class:`~repro.bti.fleet.FleetTraps`.
+:class:`TrapPopulation` is its one-chip view — it draws the chip's traps,
+normalises the per-owner bias spellings and delegates the update, the
+closed-form cycle compression and the rate cache to a one-chip fleet, so
+a chip aged alone and the same chip aged in a lot run the same code.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,15 +35,9 @@ import numpy as np
 
 from repro.bti.conditions import BiasCondition, BiasPhase
 from repro.errors import ConfigurationError
-from repro.guard import get_guard, safe_exp, safe_exp_array
+from repro.guard import safe_exp, safe_exp_array
 from repro.obs import get_tracer
 from repro.units import BOLTZMANN_EV, celsius
-
-#: Default number of bias points the per-population rate cache retains.
-#: A campaign touches a handful of distinct patterns (frozen DC, the two
-#: AC half-cycles, passive/negative recovery); 32 covers every schedule
-#: in the repo with room for ablation sweeps.
-RATE_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -103,12 +102,6 @@ class TrapParameters:
             raise ConfigurationError("reference_temperature must be positive kelvin")
 
 
-def _log_uniform(rng: np.random.Generator, bounds: tuple[float, float], size: int) -> np.ndarray:
-    lo, hi = bounds
-    # Bounded by construction: the exponent is a draw in [log lo, log hi].
-    return np.exp(rng.uniform(np.log(lo), np.log(hi), size=size))  # repro: noqa[RPR006]
-
-
 @dataclass
 class _PopulationState:
     """Snapshot of the mutable part of a population (occupancies + time)."""
@@ -141,35 +134,20 @@ class CyclePhase:
             raise ConfigurationError(f"duty must be within [0, 1], got {self.duty}")
 
 
-class _LruCache:
-    """A tiny bounded LRU map (the rate caches; not thread-safe)."""
+def _arrhenius(params: TrapParameters, temperature: float) -> tuple[float, float]:
+    """Scalar capture/emission Arrhenius factors relative to the reference.
 
-    def __init__(self, maxsize: int) -> None:
-        if maxsize <= 0:
-            raise ConfigurationError(f"cache size must be positive, got {maxsize}")
-        self.maxsize = maxsize
-        self._entries: OrderedDict = OrderedDict()
-
-    def get(self, key):
-        """The cached value, refreshed as most recent, or ``None``."""
-        value = self._entries.get(key)
-        if value is not None:
-            self._entries.move_to_end(key)
-        return value
-
-    def put(self, key, value) -> None:
-        """Insert a value, evicting the least recently used past the bound."""
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        """Drop every entry."""
-        self._entries.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)
+    Scalar ``math.exp`` (via ``safe_exp``) on purpose: ``np.exp`` differs
+    from it by one ULP on some inputs, and every engine must agree
+    bit-for-bit on these factors.
+    """
+    inv_kt = 1.0 / (BOLTZMANN_EV * temperature)
+    inv_kt_ref = 1.0 / (BOLTZMANN_EV * params.reference_temperature)
+    # safe_exp: as T -> 0 K the exponent diverges; saturate rather than
+    # overflow to inf (which would NaN-poison the rate product).
+    arr_c = safe_exp(-params.ea_capture_ev * (inv_kt - inv_kt_ref))
+    arr_e = safe_exp(-params.ea_emission_ev * (inv_kt - inv_kt_ref))
+    return arr_c, arr_e
 
 
 class TrapPopulation:
@@ -179,6 +157,13 @@ class TrapPopulation:
     belong to which owner so that a phase can apply a *different* stress
     voltage per owner (the LUT model decides who is stressed) while the
     whole chip still evolves in one vectorised update.
+
+    The population is a one-chip view of a
+    :class:`~repro.bti.fleet.FleetTraps`: trap constants, occupancy,
+    clock and rate cache live in the fleet, and every update runs there.
+    ``tracer`` receives the rate-cache and cycle-compression counters and
+    ``guard`` checks the rate and occupancy contracts; both default to
+    the ambient ones.
     """
 
     def __init__(
@@ -187,53 +172,28 @@ class TrapPopulation:
         n_owners: int,
         rng: np.random.Generator | int | None = None,
         tracer=None,
-        rate_cache_size: int = RATE_CACHE_SIZE,
         guard=None,
     ) -> None:
+        # Function-level import: repro.bti.fleet imports this module.
+        from repro.bti.fleet import FleetTraps, draw_population
+
         if n_owners <= 0:
             raise ConfigurationError(f"n_owners must be positive, got {n_owners}")
         if not isinstance(rng, np.random.Generator):
             rng = np.random.default_rng(rng)
         self.params = params
         self.n_owners = n_owners
-
-        counts = rng.poisson(params.mean_trap_count, size=n_owners)
-        self.owner = np.repeat(np.arange(n_owners), counts)
-        n_traps = int(counts.sum())
-        self.tau_c0 = _log_uniform(rng, params.tau_capture_bounds, n_traps)
-        self.tau_e0 = _log_uniform(rng, params.tau_emission_bounds, n_traps)
-        self.impact = rng.exponential(params.impact_mean_volts, size=n_traps)
-        self._state = _PopulationState(occupancy=np.zeros(n_traps))
-
-        # Rates factor as (1/tau) * arrhenius(T) * exp(gamma * dV): the
-        # 1/tau arrays are immutable, the temperature factor is a scalar,
-        # and campaigns replay a handful of voltage patterns thousands of
-        # times.  Three memo levels, coarse to fine:
-        #   base:     voltage pattern -> (1/tau)*exp(gamma*dV) per trap
-        #   combined: (stress, relax, duty) -> duty-averaged base rates
-        #   full:     (combined key, temperature) -> final rate arrays
-        # Instrument jitter re-samples voltage and temperature per chunk,
-        # so the outer levels hit even when the inner one cannot.
-        self._inv_tau_c0 = 1.0 / self.tau_c0
-        self._inv_tau_e0 = 1.0 / self.tau_e0
-        self._base_cache = _LruCache(rate_cache_size)
-        self._comb_cache = _LruCache(rate_cache_size)
-        self._full_cache = _LruCache(rate_cache_size)
-        self._scratch_total = np.empty(n_traps)
-        self._scratch_pinf = np.empty(n_traps)
-        self._scratch_weights = np.empty(n_traps)
-        self._guard = guard if guard is not None else get_guard()
         tracer = tracer if tracer is not None else get_tracer()
-        self._cache_hits = tracer.counter(
-            "bti.rate_cache.hits", "rate lookups served fully from cache"
+        fleet = FleetTraps(
+            params, n_owners, [draw_population(params, n_owners, rng)],
+            guard=guard, tracer=tracer,
         )
-        self._cache_partial_hits = tracer.counter(
-            "bti.rate_cache.partial_hits",
-            "rate lookups that reused cached voltage factors",
-        )
-        self._cache_misses = tracer.counter(
-            "bti.rate_cache.misses", "rate lookups that recomputed voltage factors"
-        )
+        self._fleet = fleet
+        # A one-chip fleet's flat arrays are this chip's own.
+        self.owner = fleet.owner_global
+        self.tau_c0 = fleet.tau_c0
+        self.tau_e0 = fleet.tau_e0
+        self.impact = fleet.impact
         self._cycles_compressed = tracer.counter(
             "bti.cycles_compressed", "schedule cycles folded by evolve_cycles"
         )
@@ -250,12 +210,12 @@ class TrapPopulation:
     @property
     def elapsed(self) -> float:
         """Simulated wall-clock seconds accumulated by ``evolve`` calls."""
-        return self._state.elapsed
+        return float(self._fleet.elapsed[0])
 
     @property
     def occupancy(self) -> np.ndarray:
         """Per-trap occupancy probabilities (read-only view)."""
-        view = self._state.occupancy.view()
+        view = self._fleet.occupancy.view()
         view.flags.writeable = False
         return view
 
@@ -263,26 +223,15 @@ class TrapPopulation:
     # physics
     # ------------------------------------------------------------------ #
 
-    def _arrhenius(self, temperature: float) -> tuple[float, float]:
-        """Scalar capture/emission Arrhenius factors relative to reference."""
-        p = self.params
-        inv_kt = 1.0 / (BOLTZMANN_EV * temperature)
-        inv_kt_ref = 1.0 / (BOLTZMANN_EV * p.reference_temperature)
-        # safe_exp: as T -> 0 K the exponent diverges; saturate rather
-        # than overflow to inf (which would NaN-poison the rate product).
-        arr_c = safe_exp(-p.ea_capture_ev * (inv_kt - inv_kt_ref))
-        arr_e = safe_exp(-p.ea_emission_ev * (inv_kt - inv_kt_ref))
-        return arr_c, arr_e
-
     def _rates(self, stress_voltage: np.ndarray, temperature: float) -> tuple[np.ndarray, np.ndarray]:
         """Per-trap capture and emission rates (1/s) at a bias point.
 
         ``stress_voltage`` is broadcast per trap (already expanded from the
         per-owner vector by the caller).  This is the uncached reference
-        path; hot loops go through :meth:`_rates_for`.
+        path, evaluated per trap rather than per owner.
         """
         p = self.params
-        arr_c, arr_e = self._arrhenius(temperature)
+        arr_c, arr_e = _arrhenius(p, temperature)
         capture = (
             (1.0 / self.tau_c0)
             * arr_c
@@ -301,137 +250,26 @@ class TrapPopulation:
         )
         return capture, emission
 
-    def _canonical_bias(self, per_owner: np.ndarray | float) -> np.ndarray:
-        """Normalise a bias argument to its canonical array form.
+    def _row(self, per_owner: np.ndarray | float) -> np.ndarray:
+        """A bias argument as the ``(1, n_owners)`` row ``FleetTraps`` takes.
 
-        Accepted shapes are a scalar / 0-d array (uniform bias), a
-        length-1 vector (also a uniform bias — the shape a batched
-        broadcast or an ``np.atleast_1d`` caller naturally produces) and
-        a full ``(n_owners,)`` pattern.  0-d and ``(1,)`` collapse to the
-        same canonical 0-d array so the scalar and array paths share one
-        cache key and one expansion rule; anything else is a shape bug.
+        A scalar, a 0-d array or a length-1 vector (the shape a batched
+        broadcast or an ``np.atleast_1d`` caller naturally produces) is a
+        uniform bias; a full ``(n_owners,)`` vector is a per-owner
+        pattern.  Anything else is a shape bug.
         """
         arr = np.asarray(per_owner, dtype=float)
-        if arr.ndim == 0:
-            return arr
-        if arr.shape == (1,) and self.n_owners != 1:
-            return arr.reshape(())
-        if arr.shape != (self.n_owners,):
-            raise ConfigurationError(
-                f"per-owner vector must have shape ({self.n_owners},), got {arr.shape}"
-            )
-        return arr
-
-    @staticmethod
-    def _bias_key(per_owner: np.ndarray) -> tuple[tuple[int, ...], bytes]:
-        """Hashable fingerprint of a *canonical* voltage pattern."""
-        arr = np.asarray(per_owner, dtype=float)
-        return (arr.shape, arr.tobytes())
-
-    def _base_rates(
-        self, per_owner_voltage: np.ndarray | float, key
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Temperature-free per-trap rate bases ``(1/tau) * exp(gamma*dV)``.
-
-        The voltage factor is computed at owner resolution and expanded by
-        gather — ``exp(x)[owner]`` equals ``exp(x[owner])`` bit-for-bit at
-        a fraction of the exp cost, since owners are ~100x fewer than
-        traps.  Returned arrays are read-only and shared; do not mutate.
-        """
-        base = self._base_cache.get(key)
-        if base is not None:
-            return base
-        p = self.params
-        arr = self._canonical_bias(per_owner_voltage)
-        if arr.ndim == 0:
-            v_owner = np.full(self.n_owners, float(arr))
-        else:
-            v_owner = arr
-        vfac_c = safe_exp_array(
-            p.gamma_capture_per_volt * (v_owner - p.reference_stress_voltage)
+        if arr.shape == (self.n_owners,):
+            return arr.reshape(1, self.n_owners)
+        if arr.ndim == 0 or arr.shape == (1,):
+            return np.full((1, self.n_owners), arr.item())
+        raise ConfigurationError(
+            f"per-owner vector must have shape ({self.n_owners},), got {arr.shape}"
         )
-        vfac_e = safe_exp_array(
-            -p.gamma_emission_per_volt * (v_owner - p.reference_recovery_voltage)
-        )
-        base_c = self._inv_tau_c0 * vfac_c[self.owner]
-        base_e = self._inv_tau_e0 * vfac_e[self.owner]
-        base_c.flags.writeable = False
-        base_e.flags.writeable = False
-        base = (base_c, base_e)
-        self._base_cache.put(key, base)
-        return base
-
-    def _effective_rates(
-        self,
-        stress_voltage: np.ndarray | float,
-        temperature: float,
-        duty: float,
-        relax_voltage: np.ndarray | float,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Duty-averaged per-trap rates for one piecewise-constant phase.
-
-        Returned arrays are read-only and may be shared with the cache;
-        callers must not mutate them.
-        """
-        stress_voltage = self._canonical_bias(stress_voltage)
-        key_s = self._bias_key(stress_voltage)
-        if duty >= 1.0:  # callers validate duty <= 1.0, so this is pure DC
-            comb_key = (key_s, None, 1.0)
-        else:
-            relax_voltage = self._canonical_bias(relax_voltage)
-            comb_key = (key_s, self._bias_key(relax_voltage), duty)
-        full_key = (comb_key, float(temperature))
-        cached = self._full_cache.get(full_key)
-        if cached is not None:
-            self._cache_hits.inc()
-            return cached
-        comb = self._comb_cache.get(comb_key)
-        if comb is not None:
-            self._cache_partial_hits.inc()
-        else:
-            self._cache_misses.inc()
-            base_c, base_e = self._base_rates(stress_voltage, key_s)
-            if duty >= 1.0:
-                comb = (base_c, base_e)
-            else:
-                # The scalar Arrhenius factors are common to both legs of
-                # the duty average, so they distribute over the mix and the
-                # combination itself is temperature-free.
-                relax_c, relax_e = self._base_rates(relax_voltage, comb_key[1])
-                suppression = self.params.ac_capture_suppression ** (1.0 - duty)
-                comb_c = duty * suppression * base_c + (1.0 - duty) * relax_c
-                comb_e = duty * base_e + (1.0 - duty) * relax_e
-                comb_c.flags.writeable = False
-                comb_e.flags.writeable = False
-                comb = (comb_c, comb_e)
-            self._comb_cache.put(comb_key, comb)
-        arr_c, arr_e = self._arrhenius(temperature)
-        capture = comb[0] * arr_c
-        emission = comb[1] * arr_e
-        guard = self._guard
-        if guard.checking:
-            # Each factor is exp-clamped, but their product can still
-            # overflow to inf; repair/raise before the arrays are frozen
-            # and cached.
-            rate_cap = guard.config.rate_cap
-            inputs = {"temperature": float(temperature), "duty": float(duty)}
-            capture = guard.check_array(
-                "bti.rate", capture, 0.0, rate_cap, inputs=inputs
-            )
-            emission = guard.check_array(
-                "bti.rate", emission, 0.0, rate_cap, inputs=inputs
-            )
-        capture.flags.writeable = False
-        emission.flags.writeable = False
-        self._full_cache.put(full_key, (capture, emission))
-        return capture, emission
 
     def _expand(self, per_owner: np.ndarray | float) -> np.ndarray:
         """Broadcast a per-owner vector (or scalar) to per-trap."""
-        arr = self._canonical_bias(per_owner)
-        if arr.ndim == 0:
-            return np.full(self.n_traps, float(arr))
-        return arr[self.owner]
+        return self._row(per_owner)[0][self.owner]
 
     def evolve(
         self,
@@ -448,112 +286,36 @@ class TrapPopulation:
         The update is the exact solution of the occupancy ODE with
         duty-averaged rates: ``p' = p_inf + (p - p_inf) * exp(-(rc+re)*dt)``.
         """
-        if duration < 0.0:
-            raise ConfigurationError(f"duration must be non-negative, got {duration}")
-        if not 0.0 <= duty <= 1.0:
-            raise ConfigurationError(f"duty must be within [0, 1], got {duty}")
-        if duration <= 0.0:  # zero-length phase is a no-op (negatives raise above)
-            return
-        capture, emission = self._effective_rates(
-            stress_voltage, temperature, duty, relax_voltage
+        self._fleet.evolve(
+            duration,
+            self._row(stress_voltage),
+            (temperature,),
+            duty=duty,
+            v_relax=self._row(relax_voltage),
         )
-        # Allocation-free update in scratch buffers: the occupancy arrays
-        # are ~30k doubles, so these elementwise ops are memory-bound.
-        total = np.add(capture, emission, out=self._scratch_total)
-        p_inf = np.divide(capture, total, out=self._scratch_pinf)
-        np.multiply(total, -duration, out=total)
-        # total = -(capture+emission)*duration <= 0: underflow-only, safe.
-        decay = np.exp(total, out=total)  # repro: noqa[RPR006]
-        state = self._state
-        occupancy = state.occupancy
-        np.subtract(occupancy, p_inf, out=occupancy)
-        np.multiply(occupancy, decay, out=occupancy)
-        np.add(occupancy, p_inf, out=occupancy)
-        state.elapsed += duration
-        guard = self._guard
-        if guard.checking:
-            guard.check_array(
-                "bti.occupancy",
-                occupancy,
-                0.0,
-                1.0,
-                inputs=lambda: {
-                    "op": "evolve",
-                    "duration": float(duration),
-                    "temperature": float(temperature),
-                    "duty": float(duty),
-                    "elapsed": float(state.elapsed),
-                },
-                arrays=lambda: self._bundle_arrays(stress_voltage, relax_voltage),
-            )
 
     def evolve_cycles(self, phases: Sequence[CyclePhase], n: int) -> None:
         """Advance through ``n`` repetitions of a fixed phase sequence, O(1) in ``n``.
 
-        Every :meth:`evolve` is an elementwise affine map ``p' = a*p + b``
-        with ``a = exp(-(rc+re)*dt)`` and ``b = p_inf*(1 - a)``, so one
-        full cycle composes to an affine map ``p' = a_c*p + b_c`` and N
-        identical cycles to the exact closed form::
-
-            p' = a_c**N * p  +  b_c * (1 - a_c**N) / (1 - a_c)
-
-        The cycle decay is accumulated as an exponent sum (``a_c =
-        exp(-X)`` with ``X = sum((rc+re)*dt)``) and ``1 - a_c`` is
-        evaluated via ``expm1`` so slow traps keep full precision.
+        The exact affine closed form of
+        :meth:`~repro.bti.fleet.FleetTraps.evolve_cycles`.
         """
-        if n < 0:
-            raise ConfigurationError(f"cycle count must be non-negative, got {n}")
-        if not phases:
-            raise ConfigurationError("evolve_cycles needs at least one phase")
-        if n == 0:
-            return
-        exponent = np.zeros(self.n_traps)
-        offset = np.zeros(self.n_traps)
-        period = 0.0
-        for phase in phases:
-            period += phase.duration
-            if phase.duration <= 0.0:
-                continue
-            capture, emission = self._effective_rates(
-                phase.stress_voltage,
-                phase.temperature,
-                phase.duty,
-                phase.relax_voltage,
-            )
-            total = capture + emission
-            x = total * phase.duration
-            # Affine compose: p -> a*p + p_inf*(1-a) with a = exp(-x).
-            # x >= 0, so exp(-x) <= 1: underflow-only, safe.
-            offset = offset * np.exp(-x) + (capture / total) * -np.expm1(-x)  # repro: noqa[RPR006]
-            exponent = exponent + x
-        one_minus_ac = -np.expm1(-exponent)
-        # Geometric-series ratio (1 - a_c**n)/(1 - a_c); when the cycle
-        # decay underflows to the identity the series degenerates to n.
-        ratio = np.where(
-            one_minus_ac > 0.0,
-            -np.expm1(-n * exponent) / np.where(one_minus_ac > 0.0, one_minus_ac, 1.0),
-            float(n),
+        from repro.bti.fleet import FleetCyclePhase
+
+        self._fleet.evolve_cycles(
+            [
+                FleetCyclePhase(
+                    phase.duration,
+                    self._row(phase.stress_voltage),
+                    (phase.temperature,),
+                    duty=phase.duty,
+                    v_relax=self._row(phase.relax_voltage),
+                )
+                for phase in phases
+            ],
+            n,
         )
-        state = self._state
-        # exponent >= 0 and n >= 1, so exp(-n*exponent) <= 1: safe.
-        state.occupancy = np.exp(-n * exponent) * state.occupancy + offset * ratio  # repro: noqa[RPR006]
-        state.elapsed += n * period
         self._cycles_compressed.inc(n)
-        guard = self._guard
-        if guard.checking:
-            guard.check_array(
-                "bti.occupancy",
-                state.occupancy,
-                0.0,
-                1.0,
-                inputs=lambda: {
-                    "op": "evolve_cycles",
-                    "n": int(n),
-                    "period": float(period),
-                    "elapsed": float(state.elapsed),
-                },
-                arrays=lambda: self._bundle_arrays(None, None),
-            )
 
     def evolve_phase(self, phase: BiasPhase, stress_mask: np.ndarray | None = None) -> None:
         """Advance through a :class:`BiasPhase`.
@@ -589,14 +351,11 @@ class TrapPopulation:
 
     def delta_vth(self) -> np.ndarray:
         """Expected per-owner threshold-voltage shift (volts, mean-field)."""
-        weights = np.multiply(
-            self._state.occupancy, self.impact, out=self._scratch_weights
-        )
-        return np.bincount(self.owner, weights=weights, minlength=self.n_owners)
+        return self._fleet.delta_vth()[0]
 
     def max_delta_vth(self) -> np.ndarray:
         """Per-owner ceiling on :meth:`delta_vth` (every trap occupied)."""
-        return np.bincount(self.owner, weights=self.impact, minlength=self.n_owners)
+        return self._fleet.max_delta_vth()[0]
 
     def sample_delta_vth(self, rng: np.random.Generator | int | None = None) -> np.ndarray:
         """One stochastic per-owner shift: each trap is occupied or not.
@@ -606,7 +365,7 @@ class TrapPopulation:
         """
         if not isinstance(rng, np.random.Generator):
             rng = np.random.default_rng(rng)
-        occupied = rng.random(self.n_traps) < self._state.occupancy
+        occupied = rng.random(self.n_traps) < self._fleet.occupancy
         return np.bincount(
             self.owner, weights=occupied * self.impact, minlength=self.n_owners
         )
@@ -624,21 +383,6 @@ class TrapPopulation:
     # state management
     # ------------------------------------------------------------------ #
 
-    def _bundle_arrays(self, stress_voltage, relax_voltage) -> dict:
-        """Model arrays for a guard repro bundle (violation slow path)."""
-        arrays = {
-            "occupancy": self._state.occupancy,
-            "tau_c0": self.tau_c0,
-            "tau_e0": self.tau_e0,
-            "impact": self.impact,
-            "owner": self.owner,
-        }
-        if stress_voltage is not None:
-            arrays["stress_voltage"] = np.asarray(stress_voltage, dtype=float)
-        if relax_voltage is not None:
-            arrays["relax_voltage"] = np.asarray(relax_voltage, dtype=float)
-        return arrays
-
     def inject_upset(self, value: float, n_traps: int = 64) -> None:
         """Fault-injection hook: overwrite the first ``n_traps`` occupancies.
 
@@ -648,37 +392,18 @@ class TrapPopulation:
         poked values (NaN, >1, <0 ...) are caught by the ``bti.occupancy``
         contract on the next ``evolve``.
         """
-        count = min(int(n_traps), self.n_traps)
-        self._state.occupancy[:count] = value
+        self._fleet.inject_upset(0, value, n_traps)
 
     def reset(self) -> None:
         """Return every trap to the fresh (empty) state and zero the clock."""
-        self._state = _PopulationState(occupancy=np.zeros(self.n_traps))
-        self._invalidate_rate_cache()
+        self.restore(_PopulationState(occupancy=np.zeros(self.n_traps)))
 
     def snapshot(self) -> _PopulationState:
         """Capture the mutable state for later :meth:`restore` (what-if runs)."""
-        return _PopulationState(
-            occupancy=self._state.occupancy.copy(), elapsed=self._state.elapsed
-        )
+        return _PopulationState(occupancy=self._fleet.occupancy_row(0), elapsed=self.elapsed)
 
     def restore(self, state: _PopulationState) -> None:
-        """Restore a state captured by :meth:`snapshot`."""
+        """Restore a state captured by :meth:`snapshot` (drops the rate cache)."""
         if state.occupancy.shape != (self.n_traps,):
             raise ConfigurationError("snapshot does not match this population")
-        self._state = _PopulationState(
-            occupancy=state.occupancy.copy(), elapsed=state.elapsed
-        )
-        self._invalidate_rate_cache()
-
-    def _invalidate_rate_cache(self) -> None:
-        """Drop every memoised rate array (state transitions must not
-        observe entries built for a previous trajectory)."""
-        self._base_cache.clear()
-        self._comb_cache.clear()
-        self._full_cache.clear()
-
-    @property
-    def rate_cache_entries(self) -> int:
-        """Live entries across all rate-cache levels (introspection)."""
-        return len(self._base_cache) + len(self._comb_cache) + len(self._full_cache)
+        self._fleet.set_occupancy_row(0, state.occupancy, state.elapsed)

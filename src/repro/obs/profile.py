@@ -28,13 +28,12 @@ from repro.obs.query import TraceModel
 MEAS_PER_S = "profile.case.meas_per_s"
 #: Histogram of per-case trap-update throughput (updates per wall second).
 TRAP_UPDATES_PER_S = "profile.case.trap_updates_per_s"
-#: Derived gauge: fraction of rate lookups served fully from cache.
+#: Derived gauge: fraction of rate lookups that reused cached rates.
 CACHE_HIT_RATE = "bti.rate_cache.hit_rate"
 
 #: Operand counters the sampler reads (all pre-existing instrumentation).
 _SAMPLES = "lab.samples"
 _TRAP_UPDATES = "bti.trap_updates"
-_CACHE_HITS = "bti.rate_cache.hits"
 _CACHE_PARTIAL = "bti.rate_cache.partial_hits"
 _CACHE_MISSES = "bti.rate_cache.misses"
 
@@ -62,9 +61,9 @@ class CaseThroughputSampler:
         tracer.histogram(TRAP_UPDATES_PER_S, "per-case trap updates per wall second")
         tracer.derived_gauge(
             CACHE_HIT_RATE,
-            "fraction of rate lookups served fully from cache",
-            _CACHE_HITS,
-            (_CACHE_HITS, _CACHE_PARTIAL, _CACHE_MISSES),
+            "fraction of rate lookups that reused cached rates",
+            _CACHE_PARTIAL,
+            (_CACHE_PARTIAL, _CACHE_MISSES),
         )
 
     def finish(self, span) -> None:

@@ -209,16 +209,14 @@ def build_campaign_report(
         for _, report in sorted(result.quarantined.items(), key=lambda kv: _chip_no(kv[0]))
     ]
 
-    hits = model.metric_value(_CACHE_PREFIX + "hits")
     partial = model.metric_value(_CACHE_PREFIX + "partial_hits")
     misses = model.metric_value(_CACHE_PREFIX + "misses")
-    lookups = hits + partial + misses
+    lookups = partial + misses
     cache = {
-        "hits": int(hits),
         "partial_hits": int(partial),
         "misses": int(misses),
         "lookups": int(lookups),
-        "hit_rate": hits / lookups if lookups > 0 else 0.0,
+        "hit_rate": partial / lookups if lookups > 0 else 0.0,
     }
 
     data = {
@@ -352,7 +350,6 @@ def _render_html(
             ["quantity", "value"],
             [
                 ["lookups", cache["lookups"]],
-                ["full hits", cache["hits"]],
                 ["partial hits", cache["partial_hits"]],
                 ["misses", cache["misses"]],
                 ["hit rate", f"{100.0 * cache['hit_rate']:.1f}%"],

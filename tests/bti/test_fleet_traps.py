@@ -5,14 +5,16 @@
 past chip 0 and hold several chips (where the per-chip Arrhenius slices,
 the padded owner gathers and the offset bincount actually run).  Its
 duty-mix cache admits a pattern on second use only and stays bounded.
-``BinnedFleetTraps`` rejects the same invalid input the exact engines do.
+Both engines reject a phase with a negative duration, a duty outside
+[0, 1], or voltage and temperature blocks that do not fit the span, in
+``evolve`` and ``evolve_cycles`` alike, before any state changes.
 """
 
 import numpy as np
 import pytest
 
 from repro.bti.fleet import (
-    FLEET_RATE_CACHE_SIZE,
+    MIX_CACHE_ENTRIES,
     BinnedFleetTraps,
     FleetCyclePhase,
     FleetTraps,
@@ -160,11 +162,11 @@ class TestFleetRateCache:
         fleet = make_fleet(tracer=tracer)
         temps = np.full(N_CHIPS, HOT)
         lookups = 0
-        for level in np.linspace(0.1, 1.2, 3 * FLEET_RATE_CACHE_SIZE):
+        for level in np.linspace(0.1, 1.2, 3 * MIX_CACHE_ENTRIES):
             for _ in range(3):
                 fleet.evolve(1.0, np.full((N_CHIPS, N_OWNERS), level), temps)
                 lookups += 1
-                assert len(fleet._comb_cache) <= FLEET_RATE_CACHE_SIZE
+                assert len(fleet._comb_cache) <= MIX_CACHE_ENTRIES
         hits, misses = self.counts(tracer)
         assert hits + misses == lookups
         assert hits == lookups / 3
@@ -176,6 +178,39 @@ class TestFleetRateCache:
             fleet.evolve(1.0, v, np.full(N_CHIPS, HOT))
         for array in next(iter(fleet._comb_cache._entries.values())):
             assert not array.flags.writeable
+
+
+def _cycle(duration=60.0, duty=1.0, v_rows=2, t_rows=2):
+    return [FleetCyclePhase(duration, np.ones((v_rows, N_OWNERS)), np.full(t_rows, HOT), duty)]
+
+
+EXACT_INVALID = {
+    "cycles-short-temperatures": lambda f: f.evolve_cycles(
+        _cycle(t_rows=1), 3, chips=slice(0, 2)
+    ),
+    "cycles-negative-duration": lambda f: f.evolve_cycles(
+        _cycle(duration=-3600.0), 10, chips=slice(0, 2)
+    ),
+    "cycles-duty-above-one": lambda f: f.evolve_cycles(_cycle(duty=1.5), 3, chips=slice(0, 2)),
+    "cycles-negative-duty": lambda f: f.evolve_cycles(_cycle(duty=-0.5), 3, chips=slice(0, 2)),
+    "cycles-voltage-rows": lambda f: f.evolve_cycles(_cycle(v_rows=3), 3, chips=slice(0, 2)),
+    "evolve-voltage-rows": lambda f: f.evolve(
+        60.0, np.ones((3, N_OWNERS)), np.full(2, HOT), chips=slice(0, 2)
+    ),
+    "evolve-relax-rows": lambda f: f.evolve(
+        60.0, np.ones((2, N_OWNERS)), np.full(2, HOT), duty=0.5,
+        v_relax=np.zeros((3, N_OWNERS)), chips=slice(0, 2),
+    ),
+}
+
+
+@pytest.mark.parametrize("call", EXACT_INVALID.values(), ids=EXACT_INVALID.keys())
+def test_exact_engine_rejects_invalid_input(call):
+    fleet = make_fleet()
+    with pytest.raises(ConfigurationError):
+        call(fleet)
+    assert not fleet.elapsed.any()
+    assert not fleet.occupancy.any()
 
 
 def make_binned(n_chips=4) -> BinnedFleetTraps:

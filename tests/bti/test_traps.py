@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bti.conditions import BiasCondition, BiasPhase, Waveform
-from repro.bti.traps import TrapParameters, TrapPopulation
+from repro.bti.traps import CyclePhase, TrapParameters, TrapPopulation
 from repro.errors import ConfigurationError
 from repro.units import celsius, hours
 
@@ -239,6 +239,85 @@ class TestStateManagement:
             pytest.skip("populations coincidentally equal-sized")
         with pytest.raises(ConfigurationError):
             a.restore(b.snapshot())
+
+
+class ReferenceStepper:
+    """Plain per-trap occupancy stepper, independent of the fleet engine.
+
+    Rates come from the population's uncached per-trap ``_rates`` path
+    (no owner gather, no cache, no per-chip scaling); each phase applies
+    the closed-form update ``p' = p_inf + (p - p_inf) * exp(-(rc+re)*dt)``
+    and a cycle leg is looped phase by phase.
+    """
+
+    def __init__(self, population: TrapPopulation) -> None:
+        self.pop = population
+        self.occupancy = np.zeros(population.n_traps)
+        self.elapsed = 0.0
+
+    def evolve(self, duration, stress, temperature, duty=1.0, relax=0.0) -> None:
+        pop = self.pop
+        capture, emission = pop._rates(pop._expand(stress), temperature)
+        if duty < 1.0:
+            suppression = pop.params.ac_capture_suppression ** (1.0 - duty)
+            off_c, off_e = pop._rates(pop._expand(relax), temperature)
+            capture = duty * suppression * capture + (1.0 - duty) * off_c
+            emission = duty * emission + (1.0 - duty) * off_e
+        p_inf = capture / (capture + emission)
+        decay = np.exp(-(capture + emission) * duration)
+        self.occupancy = p_inf + (self.occupancy - p_inf) * decay
+        self.elapsed += duration
+
+    def delta_vth(self) -> np.ndarray:
+        pop = self.pop
+        return np.bincount(
+            pop.owner, weights=self.occupancy * pop.impact, minlength=pop.n_owners
+        )
+
+
+class TestViewMatchesReferenceStepper:
+    def test_tape_of_dc_ac_recovery_and_cycles(self):
+        pop = make_population(n_owners=4, seed=23, mean_trap_count=40.0)
+        ref = ReferenceStepper(pop)
+        pattern = np.array([1.2, 0.0, 1.2, 0.6])
+        ac_a = np.array([1.2, 0.0, 0.6, 1.2])
+        ac_b = ac_a[::-1].copy()
+        hot, warm = celsius(110.0), celsius(85.0)
+        tape = [
+            (hours(2.0), pattern, hot, 1.0, 0.0),  # DC, per-owner pattern
+            (hours(0.5), 0.0, hot, 1.0, 0.0),  # 0 V recovery
+            (60.0, ac_a, warm, 0.5, ac_b),  # AC burst
+            (60.0, ac_a, hot, 0.5, ac_b),  # same burst, new temperature
+            (hours(3.0), 1.2, hot, 1.0, 0.0),  # uniform DC
+            (60.0, ac_a, warm, 0.5, ac_b),  # burst served from cache
+            (hours(1.0), -0.3, warm, 1.0, 0.0),  # negative-rail recovery
+            (hours(1.0), 0.0, hot, 1.0, 0.0),
+            (hours(1.0), 0.0, hot, 1.0, 0.0),  # repeated recovery
+        ]
+
+        def check():
+            np.testing.assert_allclose(pop.occupancy, ref.occupancy, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(pop.delta_vth(), ref.delta_vth(), rtol=1e-12)
+            assert pop.elapsed == pytest.approx(ref.elapsed, rel=1e-15)
+
+        for duration, stress, temperature, duty, relax in tape:
+            pop.evolve(duration, stress, temperature, duty, relax)
+            ref.evolve(duration, stress, temperature, duty, relax)
+            check()
+        cycle = (
+            CyclePhase(600.0, ac_a, hot, 0.5, ac_b),
+            CyclePhase(300.0, -0.3, warm),
+        )
+        pop.evolve_cycles(cycle, 12)
+        for _ in range(12):
+            for phase in cycle:
+                ref.evolve(phase.duration, phase.stress_voltage, phase.temperature,
+                           phase.duty, phase.relax_voltage)
+        check()
+        for duration, stress, temperature, duty, relax in tape[:3]:
+            pop.evolve(duration, stress, temperature, duty, relax)
+            ref.evolve(duration, stress, temperature, duty, relax)
+            check()
 
 
 class TestOccupancyInvariants:

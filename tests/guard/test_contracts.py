@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.bti.traps import CyclePhase, TrapParameters, TrapPopulation
 from repro.errors import ChipDropoutError, ConfigurationError, PhysicsViolationError
 from repro.guard import (
     EXP_MAX,
@@ -194,6 +195,26 @@ class TestBundles:
         assert bundle.contract == "bti.occupancy"
         assert bundle.inputs == {"duty": 0.5, "n": 3}
         assert np.isnan(bundle.arrays["occupancy"][1])
+
+    def test_trap_population_bundles_carry_the_model_payload(self, tmp_path):
+        guard = Guard(GuardConfig(mode="raise", dump_dir=tmp_path))
+        pop = TrapPopulation(TrapParameters(mean_trap_count=20.0), 3, rng=4, guard=guard)
+        model_arrays = {"occupancy", "tau_c0", "tau_e0", "impact", "owner"}
+        pop.inject_upset(float("nan"), n_traps=4)
+        with pytest.raises(PhysicsViolationError) as err:
+            pop.evolve(60.0, np.array([1.2, 0.0, 1.2]), 383.15, duty=0.5)
+        bundle = read_bundle(err.value.bundle_path)
+        assert bundle.contract == "bti.occupancy"
+        assert {"op", "duration", "temperature", "duty", "elapsed"} <= set(bundle.inputs)
+        assert model_arrays | {"stress_voltage", "relax_voltage"} <= set(bundle.arrays)
+        np.testing.assert_array_equal(bundle.arrays["owner"], pop.owner)
+        np.testing.assert_array_equal(bundle.arrays["tau_c0"], pop.tau_c0)
+        assert np.isnan(bundle.arrays["occupancy"][:4]).all()
+        with pytest.raises(PhysicsViolationError) as err:
+            pop.evolve_cycles([CyclePhase(60.0, 1.2, 383.15)], 5)
+        bundle = read_bundle(err.value.bundle_path)
+        assert {"op", "n", "period", "elapsed"} <= set(bundle.inputs)
+        assert model_arrays <= set(bundle.arrays)
 
     def test_sequential_names_never_collide(self, tmp_path):
         first = write_bundle(tmp_path, contract="c.x", owner="chip-1")

@@ -33,7 +33,7 @@ class TestCaseThroughputSampler:
 
     def test_registers_cache_hit_rate(self):
         tracer = Tracer()
-        tracer.counter("bti.rate_cache.hits").inc(3.0)
+        tracer.counter("bti.rate_cache.partial_hits").inc(3.0)
         tracer.counter("bti.rate_cache.misses").inc(1.0)
         CaseThroughputSampler(tracer)
         assert tracer.metrics.value(CACHE_HIT_RATE) == 0.75

@@ -102,10 +102,10 @@ class TestCampaignHealthReport:
     def test_rate_cache_section_totals(self, traced_campaign):
         result, model = traced_campaign
         cache = build_campaign_report(result, model).data["rate_cache"]
-        assert cache["lookups"] == (
-            cache["hits"] + cache["partial_hits"] + cache["misses"]
-        )
-        assert 0.0 <= cache["hit_rate"] <= 1.0
+        assert "hits" not in cache  # one cache level: no "full hits" row
+        assert cache["lookups"] == cache["partial_hits"] + cache["misses"]
+        assert cache["hit_rate"] == cache["partial_hits"] / cache["lookups"]
+        assert 0.0 < cache["hit_rate"] < 1.0
 
     def test_html_is_single_self_contained_file(self, traced_campaign):
         result, model = traced_campaign
