@@ -193,11 +193,10 @@ class FleetTraps:
         One :class:`TrapDraws` per chip, in fleet order.
     guard:
         Contract checker for the batched updates; defaults to the
-        ambient guard.  Per-call override via the ``guard=`` argument of
-        the evolve methods keeps per-chip budgets possible through the
-        :class:`~repro.fpga.fleet.ChipView` facade.
+        ambient guard.
     tracer:
-        Receives the rate-cache counters; defaults to the ambient tracer.
+        Receives the rate-cache and cycle-compression counters; defaults
+        to the ambient tracer.
     """
 
     def __init__(
@@ -254,6 +253,9 @@ class FleetTraps:
         )
         self._cache_misses = tracer.counter(
             "bti.rate_cache.misses", "rate lookups that recomputed voltage factors"
+        )
+        self._cycles_compressed = tracer.counter(
+            "bti.cycles_compressed", "schedule cycles folded by evolve_cycles"
         )
 
     # ------------------------------------------------------------------ #
@@ -394,7 +396,6 @@ class FleetTraps:
         duty: float = 1.0,
         v_relax: np.ndarray | None = None,
         chips: slice = slice(None),
-        guard=None,
     ) -> None:
         """Advance every trap of a chip span through one phase.
 
@@ -412,7 +413,7 @@ class FleetTraps:
         )
         if duration <= 0.0:  # zero-length phase is a no-op (negatives raise above)
             return
-        guard = guard if guard is not None else self._guard
+        guard = self._guard
         capture, emission = self._effective_rates(
             v_stress, temperatures, duty, v_relax, trap_span, lo, guard
         )
@@ -453,7 +454,7 @@ class FleetTraps:
             )
 
     def evolve_cycles(
-        self, phases: Sequence[FleetCyclePhase], n: int, chips: slice = slice(None), guard=None
+        self, phases: Sequence[FleetCyclePhase], n: int, chips: slice = slice(None)
     ) -> None:
         """``n`` repetitions of a fixed phase sequence, O(1) in ``n``.
 
@@ -484,7 +485,7 @@ class FleetTraps:
             )
             for phase in phases
         ]
-        guard = guard if guard is not None else self._guard
+        guard = self._guard
         n_span = trap_span.stop - trap_span.start
         exponent = np.zeros(n_span)
         offset = np.zeros(n_span)
@@ -535,6 +536,7 @@ class FleetTraps:
                 },
                 arrays=lambda: self._bundle_arrays(trap_span, lo),
             )
+        self._cycles_compressed.inc(n)
 
     def _bundle_arrays(self, trap_span: slice, lo: int) -> dict:
         """A span's trap arrays for a guard repro bundle (violation slow path).

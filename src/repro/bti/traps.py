@@ -194,9 +194,6 @@ class TrapPopulation:
         self.tau_c0 = fleet.tau_c0
         self.tau_e0 = fleet.tau_e0
         self.impact = fleet.impact
-        self._cycles_compressed = tracer.counter(
-            "bti.cycles_compressed", "schedule cycles folded by evolve_cycles"
-        )
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -315,7 +312,6 @@ class TrapPopulation:
             ],
             n,
         )
-        self._cycles_compressed.inc(n)
 
     def evolve_phase(self, phase: BiasPhase, stress_mask: np.ndarray | None = None) -> None:
         """Advance through a :class:`BiasPhase`.

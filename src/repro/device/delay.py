@@ -8,8 +8,11 @@ Two models are provided:
   ``td ~ Vdd / (Vdd - Vth)**alpha``, kept as the higher-fidelity ablation
   (the paper acknowledges its delay estimate is first order).
 
-Both expose the same ``delay_shift`` interface so the FPGA substrate can be
-configured with either.
+Both expose the same ``delay_shift`` interface.  The laws themselves are
+the array functions :func:`first_order_shift` and :func:`alpha_power_shift`
+(named in :data:`DELAY_LAWS`), which take the overdrive ``Vdd - Vth0``
+directly, so the FPGA substrate applies either to a batch of chips with
+a per-chip overdrive column.
 """
 
 from __future__ import annotations
@@ -21,6 +24,9 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.guard import GuardMode, get_guard
+
+#: Velocity-saturation index of the alpha-power law at 40 nm.
+DEFAULT_ALPHA = 1.3
 
 
 class GateDelayModel(Protocol):
@@ -48,9 +54,7 @@ class FirstOrderDelayShift:
         self, td0: np.ndarray | float, dvth: np.ndarray | float
     ) -> np.ndarray | float:
         """Linearised delay increase (same shape as the broadcast inputs)."""
-        dvth = _checked_dvth(dvth, self.vdd - self.vth0, "FirstOrderDelayShift")
-        result = np.asarray(td0, dtype=float) * dvth / (self.vdd - self.vth0)
-        return float(result) if result.ndim == 0 else result
+        return _scalar_or_array(first_order_shift(td0, dvth, self.vdd - self.vth0))
 
 
 @dataclass(frozen=True)
@@ -64,7 +68,7 @@ class AlphaPowerDelayModel:
 
     vdd: float
     vth0: float
-    alpha: float = 1.3
+    alpha: float = DEFAULT_ALPHA
 
     def __post_init__(self) -> None:
         if self.vdd <= self.vth0:
@@ -76,15 +80,46 @@ class AlphaPowerDelayModel:
         self, td0: np.ndarray | float, dvth: np.ndarray | float
     ) -> np.ndarray | float:
         """Delay increase under the alpha-power law."""
-        overdrive = self.vdd - self.vth0
-        dvth = _checked_dvth(dvth, overdrive, "AlphaPowerDelayModel")
-        if np.any(dvth >= overdrive):
-            raise ConfigurationError(
-                "dVth reached the gate overdrive; the device no longer switches"
-            )
-        ratio = overdrive / (overdrive - dvth)
-        result = np.asarray(td0, dtype=float) * (np.power(ratio, self.alpha) - 1.0)
-        return float(result) if result.ndim == 0 else result
+        return _scalar_or_array(
+            alpha_power_shift(td0, dvth, self.vdd - self.vth0, self.alpha)
+        )
+
+
+def first_order_shift(
+    td0: np.ndarray | float, dvth: np.ndarray | float, overdrive
+) -> np.ndarray:
+    """Eq. (6) delay increase ``td0 * dVth / (Vdd - Vth0)`` as an array.
+
+    ``overdrive`` is ``Vdd - Vth0``: a float, or an array broadcasting
+    against ``dvth`` (a per-chip column for a batch of chips).
+    """
+    dvth = _checked_dvth(dvth, overdrive, "FirstOrderDelayShift")
+    return np.asarray(td0, dtype=float) * dvth / overdrive
+
+
+def alpha_power_shift(
+    td0: np.ndarray | float,
+    dvth: np.ndarray | float,
+    overdrive,
+    alpha: float = DEFAULT_ALPHA,
+) -> np.ndarray:
+    """Alpha-power delay increase as an array (``overdrive`` as in
+    :func:`first_order_shift`)."""
+    dvth = _checked_dvth(dvth, overdrive, "AlphaPowerDelayModel")
+    if np.any(dvth >= overdrive):
+        raise ConfigurationError(
+            "dVth reached the gate overdrive; the device no longer switches"
+        )
+    ratio = overdrive / (overdrive - dvth)
+    return np.asarray(td0, dtype=float) * (np.power(ratio, alpha) - 1.0)
+
+
+#: The delay laws by the ``delay_model`` name a chip is built with.
+DELAY_LAWS = {"first-order": first_order_shift, "alpha-power": alpha_power_shift}
+
+
+def _scalar_or_array(result: np.ndarray) -> np.ndarray | float:
+    return float(result) if result.ndim == 0 else result
 
 
 def _checked_dvth(

@@ -1,11 +1,13 @@
 """FpgaChip: the virtual device under test."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.device.variation import ProcessVariation
 from repro.errors import ConfigurationError
-from repro.fpga.chip import FpgaChip
+from repro.fpga.chip import CycleSegment, FpgaChip
 from repro.fpga.fabric import Fabric, Location
 from repro.fpga.ring_oscillator import StressMode
 from repro.units import celsius, hours
@@ -173,3 +175,59 @@ class TestApplyCycles:
             small_chip.apply_cycles(self.segments(), -1)
         with pytest.raises(ConfigurationError):
             small_chip.apply_cycles((), 5)
+
+
+#: Golden readouts of one fixed tape per chip option:
+#: (fresh_path_delay.hex(), path_delay().hex(), sha256 of export_state()).
+#: Placement and the delay law change only the readout, so their state
+#: digest equals the default's; enable gating changes which devices age.
+GOLDEN = {
+    "default": ("0x1.5124432d38601p-23", "0x1.52dbda7f1bb02p-23",
+                "3cac91b11e85204645f72a2beb09e45a8d100a8a0deb8d551cabf22849d141df"),
+    "fabric-corner": ("0x1.61ffacef7b31bp-23", "0x1.63cd3f0576ac3p-23",
+                      "3cac91b11e85204645f72a2beb09e45a8d100a8a0deb8d551cabf22849d141df"),
+    "alpha-power": ("0x1.5124432d38601p-23", "0x1.53674bbd602c6p-23",
+                    "3cac91b11e85204645f72a2beb09e45a8d100a8a0deb8d551cabf22849d141df"),
+    "enable-gated": ("0x1.5124432d38601p-23", "0x1.528ca491abb8ep-23",
+                     "5ef89f129bafcefbfc5f88b8604ec822c7c736b87f9b0bded98adfa0e01cd011"),
+}
+
+GOLDEN_OPTIONS = {
+    "default": {},
+    "fabric-corner": {"fabric": Fabric(rows=9, cols=9, gradient=0.05),
+                      "location": Location(0, 0)},
+    "alpha-power": {"delay_model": "alpha-power"},
+    "enable-gated": {"enable_gated": True},
+}
+
+
+def state_digest(state: dict) -> str:
+    """SHA-256 over an ``export_state`` dict, keys in sorted order."""
+    digest = hashlib.sha256()
+    for key in sorted(state):
+        digest.update(key.encode())
+        digest.update(np.ascontiguousarray(state[key], dtype=float).tobytes())
+    return digest.hexdigest()
+
+
+class TestGolden:
+    """Bit-exact readouts pinned per chip option (full-size default chip)."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_tape_replays_bit_for_bit(self, name):
+        chip = FpgaChip("golden", seed=2014, **GOLDEN_OPTIONS[name])
+        fresh = chip.fresh_path_delay
+        chip.apply_stress(hours(2.0), celsius(110.0), mode=StressMode.DC)
+        chip.apply_stress(hours(1.0), celsius(110.0), supply_voltage=1.1, mode=StressMode.AC)
+        chip.apply_recovery(hours(1.0), celsius(110.0), supply_voltage=-0.3)
+        chip.apply_cycles(
+            [
+                CycleSegment.active(hours(0.5), celsius(85.0), mode=StressMode.AC),
+                CycleSegment.sleep(hours(0.25), celsius(110.0), -0.3),
+            ],
+            6,
+        )
+        expected_fresh, expected_delay, expected_state = GOLDEN[name]
+        assert fresh.hex() == expected_fresh
+        assert chip.path_delay().hex() == expected_delay
+        assert state_digest(chip.export_state()) == expected_state
