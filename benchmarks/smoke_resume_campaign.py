@@ -6,6 +6,11 @@ once its first cases have landed, then resumed in-process.  The resumed
 ``DataLog`` must be bit-identical to an uninterrupted run — generation
 snapshots mean a kill at *any* instant leaves a consistent checkpoint.
 
+Two cases: the paper's campaign on two chips, and a 10-chip fleet lot
+(``repro campaign --fleet 10``), where chips ``i`` and ``i + 5`` share
+every lock-step group, so the kill can land between the checkpoints of
+two chips of one group.
+
 If the subprocess finishes before the kill window opens (fast machine),
 the test degrades to resuming a complete checkpoint, which must still
 reproduce the reference log from its shards.
@@ -24,15 +29,20 @@ import time
 from pathlib import Path
 
 from repro.lab.campaign import run_table1_campaign
+from repro.lab.fleet import run_fleet_campaign
 
 ROOT = Path(__file__).resolve().parent.parent
 
 SEED = 7
 N_CHIPS = 2
+FLEET_CHIPS = 10
 
-#: Checkpointed cases after which the campaign is killed (chips run in
-#: order, so chip-1's baseline + first case land first).
+#: Checkpointed cases after which the campaign is killed: every chip's
+#: baseline lands first, so two cases are both baselines of the 2-chip
+#: campaign, and twelve are the lot's ten baselines plus the first
+#: schedule row's two-chip group.
 KILL_AFTER_CASES = 2
+FLEET_KILL_AFTER_CASES = 12
 
 
 def _completed_cases(manifest_path: Path) -> int:
@@ -44,15 +54,17 @@ def _completed_cases(manifest_path: Path) -> int:
     return sum(len(cases) for cases in manifest.get("completed", {}).values())
 
 
-def test_kill_mid_campaign_then_resume(tmp_path):
-    checkpoint = tmp_path / "checkpoint"
+def _kill_mid_run(checkpoint: Path, lot_args: list[str], kill_after: int) -> bool:
+    """Run ``repro campaign`` with checkpoints and SIGKILL it mid-run.
+
+    Returns whether the kill landed (False: the run finished first).
+    """
     manifest = checkpoint / "manifest.json"
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
     process = subprocess.Popen(
         [
-            sys.executable, "-m", "repro", "campaign",
-            "--seed", str(SEED), "--chips", str(N_CHIPS),
+            sys.executable, "-m", "repro", "campaign", "--seed", str(SEED), *lot_args,
             "--checkpoint", str(checkpoint), "--quiet",
         ],
         cwd=ROOT,
@@ -66,7 +78,7 @@ def test_kill_mid_campaign_then_resume(tmp_path):
         while time.monotonic() < deadline:
             if process.poll() is not None:
                 break  # finished before the kill window — see module docstring
-            if _completed_cases(manifest) >= KILL_AFTER_CASES:
+            if _completed_cases(manifest) >= kill_after:
                 process.send_signal(signal.SIGKILL)
                 process.wait(timeout=30.0)
                 killed = True
@@ -78,8 +90,13 @@ def test_kill_mid_campaign_then_resume(tmp_path):
         if process.poll() is None:
             process.kill()
             process.wait(timeout=30.0)
+    return killed
 
-    cases_at_resume = _completed_cases(manifest)
+
+def test_kill_mid_campaign_then_resume(tmp_path):
+    checkpoint = tmp_path / "checkpoint"
+    killed = _kill_mid_run(checkpoint, ["--chips", str(N_CHIPS)], KILL_AFTER_CASES)
+    cases_at_resume = _completed_cases(checkpoint / "manifest.json")
     resumed = run_table1_campaign(
         seed=SEED, n_chips=N_CHIPS, checkpoint=str(checkpoint), resume=True
     )
@@ -91,4 +108,24 @@ def test_kill_mid_campaign_then_resume(tmp_path):
         f"{'killed' if killed else 'completed'} with {cases_at_resume} "
         f"checkpointed cases; resumed log matches the uninterrupted run "
         f"({len(resumed.log)} records)"
+    )
+
+
+def test_kill_mid_fleet_lot_then_resume(tmp_path):
+    checkpoint = tmp_path / "checkpoint"
+    killed = _kill_mid_run(
+        checkpoint, ["--fleet", str(FLEET_CHIPS)], FLEET_KILL_AFTER_CASES
+    )
+    cases_at_resume = _completed_cases(checkpoint / "manifest.json")
+    resumed = run_fleet_campaign(
+        seed=SEED, n_chips=FLEET_CHIPS, checkpoint=str(checkpoint), resume=True
+    )
+    reference = run_fleet_campaign(seed=SEED, n_chips=FLEET_CHIPS)
+    assert resumed.complete
+    assert list(resumed.log) == list(reference.log)
+    assert resumed.fresh_delays == reference.fresh_delays
+    print(
+        f"{'killed' if killed else 'completed'} with {cases_at_resume} "
+        f"checkpointed cases; resumed {FLEET_CHIPS}-chip lot matches the "
+        f"uninterrupted run ({len(resumed.log)} records)"
     )

@@ -48,7 +48,7 @@ import numpy as np
 
 from repro.bti.traps import TrapParameters, _arrhenius
 from repro.errors import ConfigurationError
-from repro.guard import get_guard, safe_exp_array
+from repro.guard import ChipGuards, get_guard, safe_exp_array
 from repro.obs import get_tracer
 from repro.units import BOLTZMANN_EV
 
@@ -130,6 +130,13 @@ def draw_population(
     return TrapDraws(owner=owner, tau_c0=tau_c0, tau_e0=tau_e0, impact=impact)
 
 
+def _chip_guards(guard, n_chips: int) -> ChipGuards:
+    """A lot's :class:`ChipGuards` from a guard argument (``None``: ambient)."""
+    if isinstance(guard, ChipGuards):
+        return guard
+    return ChipGuards.shared(guard if guard is not None else get_guard(), n_chips)
+
+
 def chip_range(chips: slice, n_chips: int) -> tuple[int, int]:
     """``(lo, hi)`` of a contiguous, non-empty chip slice; others raise."""
     lo, hi, step = chips.indices(n_chips)
@@ -192,8 +199,9 @@ class FleetTraps:
     draws:
         One :class:`TrapDraws` per chip, in fleet order.
     guard:
-        Contract checker for the batched updates; defaults to the
-        ambient guard.
+        Contract checker for the batched updates: one
+        :class:`~repro.guard.Guard` for the whole ensemble, or the lot's
+        :class:`~repro.guard.ChipGuards`; defaults to the ambient guard.
     tracer:
         Receives the rate-cache and cycle-compression counters; defaults
         to the ambient tracer.
@@ -245,7 +253,7 @@ class FleetTraps:
         # temperature-keyed level would never hit.
         self._comb_cache = _LruCache(MIX_CACHE_ENTRIES)
         self._seen_keys = _LruCache(_ADMISSION_HISTORY)
-        self._guard = guard if guard is not None else get_guard()
+        self._guards = _chip_guards(guard, self.n_chips)
         tracer = tracer if tracer is not None else get_tracer()
         self._cache_partial_hits = tracer.counter(
             "bti.rate_cache.partial_hits",
@@ -298,8 +306,12 @@ class FleetTraps:
             -p.gamma_emission_per_volt * (v_owner_flat - p.reference_recovery_voltage)
         )
         owner = self.owner_global[trap_span]
-        base_c = self._inv_tau_c0[trap_span] * vfac_c[owner]
-        base_e = self._inv_tau_e0[trap_span] * vfac_e[owner]
+        # In place on the gathers (IEEE products commute): one temporary
+        # per array less at the peak of a wide span's update.
+        base_c = vfac_c[owner]
+        base_c *= self._inv_tau_c0[trap_span]
+        base_e = vfac_e[owner]
+        base_e *= self._inv_tau_e0[trap_span]
         return base_c, base_e
 
     def _mixed_rates(
@@ -333,8 +345,14 @@ class FleetTraps:
         if relax is not None:
             relax_c, relax_e = self._base_rates(np.ravel(relax), trap_span, lo)
             suppression = self.params.ac_capture_suppression ** (1.0 - duty)
-            comb_c = duty * suppression * comb_c + (1.0 - duty) * relax_c
-            comb_e = duty * comb_e + (1.0 - duty) * relax_e
+            # duty * suppression * comb_c + (1 - duty) * relax_c, and the
+            # emission mix, evaluated in place on the fresh bases.
+            comb_c *= duty * suppression
+            relax_c *= 1.0 - duty
+            comb_c += relax_c
+            comb_e *= duty
+            relax_e *= 1.0 - duty
+            comb_e += relax_e
         # A hash collision only admits an entry early; values are still
         # looked up by the full key, so results cannot change.
         digest = hash(key)
@@ -354,7 +372,6 @@ class FleetTraps:
         v_relax: np.ndarray | None,
         trap_span: slice,
         lo: int,
-        guard,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Duty-averaged per-trap rates for a contiguous chip span.
 
@@ -372,10 +389,12 @@ class FleetTraps:
             b = self._offsets[lo + index + 1] - base
             np.multiply(comb_c[a:b], arr_c, out=capture[a:b])
             np.multiply(comb_e[a:b], arr_e, out=emission[a:b])
-        if guard.checking:
+        guards = self._guards
+        if guards.checking:
             # Each factor is exp-clamped, but their product can still
             # overflow to inf; repair/raise before the update reads it.
-            rate_cap = guard.config.rate_cap
+            rate_cap = guards.config.rate_cap
+            chips = range(lo, lo + k)
 
             def inputs() -> dict:
                 return {
@@ -384,8 +403,12 @@ class FleetTraps:
                     "fleet_chips": int(k),
                 }
 
-            capture = guard.check_array("bti.rate", capture, 0.0, rate_cap, inputs=inputs)
-            emission = guard.check_array("bti.rate", emission, 0.0, rate_cap, inputs=inputs)
+            capture = guards.check_rows(
+                "bti.rate", capture, 0.0, rate_cap, chips, self._offsets, inputs=inputs
+            )
+            emission = guards.check_rows(
+                "bti.rate", emission, 0.0, rate_cap, chips, self._offsets, inputs=inputs
+            )
         return capture, emission
 
     def evolve(
@@ -413,10 +436,20 @@ class FleetTraps:
         )
         if duration <= 0.0:  # zero-length phase is a no-op (negatives raise above)
             return
-        guard = self._guard
+        guards = self._guards
+        known = len(guards.exhausted)
         capture, emission = self._effective_rates(
-            v_stress, temperatures, duty, v_relax, trap_span, lo, guard
+            v_stress, temperatures, duty, v_relax, trap_span, lo
         )
+        held = {}
+        if len(guards.exhausted) > known:
+            # A chip whose budget ran out on its rates skips this step,
+            # as a lone chip whose rate check raised would.
+            held = {
+                chip: (self.occupancy_row(chip), float(self.elapsed[chip]))
+                for chip in range(lo, lo + k)
+                if chip in guards.exhausted
+            }
         total = np.add(capture, emission, out=self._scratch_total[trap_span])
         p_inf = np.divide(capture, total, out=self._scratch_pinf[trap_span])
         np.multiply(total, -duration, out=total)
@@ -427,12 +460,17 @@ class FleetTraps:
         np.multiply(occupancy, decay, out=occupancy)
         np.add(occupancy, p_inf, out=occupancy)
         self.elapsed[lo : lo + k] += duration
-        if guard.checking:
-            guard.check_array(
+        for chip, (row, elapsed) in held.items():
+            self.occupancy[self._offsets[chip] : self._offsets[chip + 1]] = row
+            self.elapsed[chip] = elapsed
+        if guards.checking:
+            guards.check_rows(
                 "bti.occupancy",
                 occupancy,
                 0.0,
                 1.0,
+                range(lo, lo + k),
+                self._offsets,
                 inputs=lambda: {
                     "op": "fleet.evolve",
                     "duration": float(duration),
@@ -485,7 +523,6 @@ class FleetTraps:
             )
             for phase in phases
         ]
-        guard = self._guard
         n_span = trap_span.stop - trap_span.start
         exponent = np.zeros(n_span)
         offset = np.zeros(n_span)
@@ -501,7 +538,6 @@ class FleetTraps:
                 phase.v_relax,
                 trap_span,
                 lo,
-                guard,
             )
             total = capture + emission
             x = total * phase.duration
@@ -521,12 +557,14 @@ class FleetTraps:
             np.exp(-n * exponent) * self.occupancy[trap_span] + offset * ratio  # repro: noqa[RPR006]
         )
         self.elapsed[lo : lo + k] += n * period
-        if guard.checking:
-            guard.check_array(
+        if self._guards.checking:
+            self._guards.check_rows(
                 "bti.occupancy",
                 self.occupancy[trap_span],
                 0.0,
                 1.0,
+                range(lo, lo + k),
+                self._offsets,
                 inputs=lambda: {
                     "op": "fleet.evolve_cycles",
                     "n": int(n),
@@ -704,7 +742,7 @@ class BinnedFleetTraps:
         self.elapsed = np.zeros(n_chips)
         self._inv_c = grid.inv_tau_c.astype(self.dtype)
         self._inv_e = grid.inv_tau_e.astype(self.dtype)
-        self._guard = guard if guard is not None else get_guard()
+        self._guards = _chip_guards(guard, n_chips)
         shape = (n_chips, grid.n_cells)
         self._b_rc = np.empty(shape, dtype=self.dtype)
         self._b_re = np.empty(shape, dtype=self.dtype)
@@ -816,13 +854,14 @@ class BinnedFleetTraps:
         np.multiply(occupancy, decay, out=occupancy)
         np.add(occupancy, p_inf, out=occupancy)
         self.elapsed[lo:hi] += duration
-        guard = self._guard
-        if guard.checking:
-            guard.check_array(
+        if self._guards.checking:
+            self._guards.check_rows(
                 "bti.occupancy",
                 occupancy,
                 0.0,
                 1.0,
+                range(lo, hi),
+                range(self.n_chips + 1),
                 inputs=lambda: {
                     "op": "fleet.binned_evolve",
                     "duration": float(duration),

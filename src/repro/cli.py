@@ -182,13 +182,12 @@ def _write_fleet_report(result, tracer, out: str, seed: int) -> None:
 
 
 def _cmd_fleet_campaign(args: argparse.Namespace) -> int:
-    """The --fleet branch of `repro campaign`: batched wafer-lot run.
+    """The --fleet branch of `repro campaign`: a wafer-lot run.
 
     Resilience flags are passed straight through to
-    :func:`~repro.lab.fleet.run_fleet_campaign`, which raises a typed
-    :class:`~repro.errors.ConfigurationError` naming any option the fleet
-    engine does not support (retry loops, checkpoints, rate-driven fault
-    kinds, guard budgets) — the CLI no longer second-guesses the contract.
+    :func:`~repro.lab.fleet.run_fleet_campaign`, which takes every one of
+    them and raises a typed :class:`~repro.errors.ConfigurationError` only
+    for checkpoint/resume with more than one shard.
     """
     from repro.lab.fleet import run_fleet_campaign
     from repro.obs import JsonlExporter, ProgressReporter, Tracer
@@ -221,6 +220,7 @@ def _cmd_fleet_campaign(args: argparse.Namespace) -> int:
         f"{len(result.summaries)} chips "
         f"(fidelity {result.fidelity}, {len(result.log)} records kept)"
     )
+    _print_quarantine(result)
     _print_sanitizer(result)
     if args.csv:
         result.log.write_csv(args.csv)
@@ -601,14 +601,14 @@ def build_parser() -> argparse.ArgumentParser:
         parser.add_argument(
             "--checkpoint",
             metavar="DIR",
-            help="snapshot each chip to this directory after every completed "
-            "case (trap state, RNG state, DataLog shards)",
+            help="snapshot each chip to this directory after every case it "
+            "finishes (trap state, RNG state, DataLog shards)",
         )
         parser.add_argument(
             "--resume",
             metavar="DIR",
             help="resume a killed campaign from its checkpoint directory "
-            "(finished chips are not replayed; implies --checkpoint DIR)",
+            "(finished cases are not replayed; implies --checkpoint DIR)",
         )
         parser.add_argument(
             "--fault-seed",
@@ -714,9 +714,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--fleet",
         type=int,
         metavar="N",
-        help="run the Table 1 schedule over an N-chip lot through the "
-        "batched fleet engine instead of the per-chip bench "
-        "(bit-identical to the sequential campaign in exact fidelity)",
+        help="run the Table 1 schedule over an N-chip lot, with a choice of "
+        "fidelity, shards and record collection (the five Table 1 rows "
+        "tile the lot; --chips N runs the same schedule exactly)",
     )
     campaign.add_argument(
         "--shard",
@@ -731,7 +731,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--fidelity",
         choices=["auto", "exact", "binned"],
         default="auto",
-        help="fleet physics fidelity: 'exact' matches the scalar chip "
+        help="fleet physics fidelity: 'exact' matches a lone chip "
         "bit-for-bit, 'binned' pools traps on a (tau_c, tau_e) grid for "
         "population scale, 'auto' picks exact for small lots "
         "(default: auto; only with --fleet)",

@@ -178,7 +178,7 @@ def _lifetime_stats(cell: SweepCell) -> dict:
 def _campaign_stats(cell: SweepCell, retries: int, backoff_s: float) -> dict:
     """Run the cell's campaign and fold it into a deterministic stats dict."""
     from repro.guard.contracts import GuardConfig
-    from repro.lab.campaign import run_table1_campaign, table1_horizon
+    from repro.lab import campaign
     from repro.lab.faults import FaultPlan
     from repro.lab.fleet import run_fleet_campaign
     from repro.lab.resilience import RetryPolicy
@@ -190,37 +190,29 @@ def _campaign_stats(cell: SweepCell, retries: int, backoff_s: float) -> dict:
         faults = FaultPlan.generate(
             cell.fault_seed,
             chip_ids,
-            table1_horizon(cell.n_chips, cell.include_baseline),
+            campaign.table1_horizon(cell.n_chips, cell.include_baseline),
             rate_per_day=cell.fault_rate,
             dropout_probability=cell.dropout_prob,
             upset_probability=cell.upset_prob,
         )
     budget = cell.guard_budget if cell.guard_mode == "clamp" and cell.guard_budget else None
-    guard = GuardConfig(mode=cell.guard_mode, violation_budget=budget, dump_dir=None)
-
+    kwargs = dict(
+        seed=cell.seed,
+        n_chips=cell.n_chips,
+        include_baseline=cell.include_baseline,
+        faults=faults,
+        retry=RetryPolicy(max_attempts=retries, backoff_seconds=backoff_s)
+        if faults is not None
+        else None,
+        guard=GuardConfig(mode=cell.guard_mode, violation_budget=budget, dump_dir=None),
+        tracer=tracer,
+    )
     if cell.engine == "fleet":
-        result = run_fleet_campaign(
-            seed=cell.seed,
-            n_chips=cell.n_chips,
-            include_baseline=cell.include_baseline,
-            faults=faults,
-            guard=GuardConfig(mode=cell.guard_mode, dump_dir=None),
-            tracer=tracer,
-        )
-        measurements = result.total_measurements
+        result = run_fleet_campaign(fidelity="auto", **kwargs)
     else:
-        result = run_table1_campaign(
-            seed=cell.seed,
-            n_chips=cell.n_chips,
-            include_baseline=cell.include_baseline,
-            faults=faults,
-            retry=RetryPolicy(max_attempts=retries, backoff_seconds=backoff_s)
-            if faults is not None
-            else None,
-            guard=guard,
-            tracer=tracer,
-        )
-        measurements = len(result.log)
+        # Through the module attribute, so a patched entry point is seen.
+        result = campaign.run_table1_campaign(**kwargs)
+    measurements = result.total_measurements
 
     log_hash = hashlib.sha256()
     for record in result.log:

@@ -11,7 +11,7 @@ Static validation plugs into the RPR1xx descriptor pipeline:
 
 ==========  =========================================================
 RPR105      sweep grid shape (axes non-empty, no duplicates, bounded)
-RPR106      sweep value domains (probabilities, knobs, engine support)
+RPR106      sweep value domains (probabilities, knobs, lifetime settings)
 ==========  =========================================================
 """
 
@@ -129,7 +129,11 @@ class SweepSpec:
     Scalar fields apply to every cell; tuple fields are axes whose cross
     product (in :data:`AXIS_ORDER`) forms the grid.  ``retries`` and
     ``retry_backoff_s`` configure the *measurement* retry policy inside
-    each campaign, not the runner's per-cell retries.
+    each campaign, not the runner's per-cell retries.  ``engine`` picks
+    the entry point of each cell's campaign: ``"table1"``
+    (:func:`~repro.lab.campaign.run_table1_campaign`) or ``"fleet"``
+    (:func:`~repro.lab.fleet.run_fleet_campaign` at ``fidelity="auto"``);
+    both take every faultload, retry and guard setting.
     """
 
     name: str = "sweep"
@@ -246,9 +250,8 @@ def validate_sweep_spec(spec: SweepSpec) -> list[Finding]:
 
     RPR105 covers grid *shape* (axes present, no duplicate values, the
     expansion bounded); RPR106 covers value *domains* (probabilities in
-    [0, 1], knobs the physics accepts, combinations the chosen engine
-    actually supports).  Returns findings instead of raising so the lint
-    CLI can aggregate them with the descriptor rules.
+    [0, 1], knobs the physics accepts).  Returns findings instead of
+    raising so the lint CLI can aggregate them with the descriptor rules.
     """
     findings: list[Finding] = []
 
@@ -383,35 +386,6 @@ def validate_sweep_spec(spec: SweepSpec) -> list[Finding]:
                 _finding(
                     "RPR106",
                     f"lifetime period must be positive hours, got {lifetime.period_hours}",
-                )
-            )
-
-    if spec.engine == "fleet":
-        # The fleet path supports only TRAP_UPSET faultloads and budget-less
-        # guards — see run_fleet_campaign's docstring for the contract.
-        if any(rate > 0.0 for rate in spec.fault_rates):
-            findings.append(
-                _finding(
-                    "RPR106",
-                    "engine 'fleet' does not support rate-driven fault kinds "
-                    "(thermal drift, supply droop, relay chatter, readout faults)",
-                    "set fault_rates to (0.0,) or use engine 'table1'",
-                )
-            )
-        if any(prob > 0.0 for prob in spec.dropout_probs):
-            findings.append(
-                _finding(
-                    "RPR106",
-                    "engine 'fleet' does not support chip dropout faults",
-                    "set dropout_probs to (0.0,) or use engine 'table1'",
-                )
-            )
-        if spec.guard_budget > 0:
-            findings.append(
-                _finding(
-                    "RPR106",
-                    "engine 'fleet' does not support per-chip guard violation budgets",
-                    "set guard_budget to 0 or use engine 'table1'",
                 )
             )
 

@@ -45,7 +45,7 @@ from repro.errors import ConfigurationError
 from repro.fpga.fabric import Fabric, Location
 from repro.fpga.netlist import InverterChainNetlist
 from repro.fpga.ring_oscillator import StressMode
-from repro.guard import get_guard
+from repro.guard import ChipGuards, Guard, get_guard
 from repro.obs import get_tracer
 
 #: Fidelity names accepted by :class:`FleetChip`.
@@ -107,6 +107,20 @@ class CycleSegment:
         )
 
 
+def contiguous_runs(chips: Sequence[int]) -> list[tuple[int, int]]:
+    """``(p, q)`` ranges of the sorted lot positions ``chips`` whose
+    positions are contiguous in the lot."""
+    if chips[-1] - chips[0] == len(chips) - 1:
+        return [(0, len(chips))]
+    runs, start = [], 0
+    for p in range(1, len(chips)):
+        if chips[p] != chips[p - 1] + 1:
+            runs.append((start, p))
+            start = p
+    runs.append((start, len(chips)))
+    return runs
+
+
 class FleetChip:
     """N chips of one process, batched.
 
@@ -132,9 +146,16 @@ class FleetChip:
         (CET-grid, population-scale).
     bins_per_decade:
         Grid density of the binned fidelity; ignored for exact.
-    guard / tracer:
-        Contract checker and telemetry sink of the lot (and of every
-        view of it); default to the ambient ones.
+    guard:
+        The lot's contract checker: one :class:`~repro.guard.Guard`
+        shared by every chip (default: the ambient guard), or a sequence
+        of one guard per chip, whose counts, clamps and budgets then stay
+        per chip (see :class:`~repro.guard.ChipGuards`; a chip whose
+        budget runs out is recorded in ``guards.exhausted`` and skips the
+        rest of the step it ran out in).
+    tracer:
+        Telemetry sink of the lot (and of every view of it); defaults to
+        the ambient one.
     """
 
     def __init__(
@@ -173,7 +194,14 @@ class FleetChip:
         self.n_chips = len(self.chip_ids)
         self.tech = tech
         self.fidelity = fidelity
-        self.guard = guard if guard is not None else get_guard()
+        if guard is None or isinstance(guard, Guard):
+            self.guards = ChipGuards.shared(
+                guard if guard is not None else get_guard(), self.n_chips
+            )
+        else:
+            if len(guard) != self.n_chips:
+                raise ConfigurationError("per-chip guards must name one guard per chip")
+            self.guards = ChipGuards(guard)
         self.tracer = tracer if tracer is not None else get_tracer()
         self.netlist = InverterChainNetlist(n_stages=n_stages, enable_gated=enable_gated)
         variation = variation if variation is not None else ProcessVariation()
@@ -222,11 +250,11 @@ class FleetChip:
         if fidelity == "exact":
             self._pmos = FleetTraps(
                 tech.nbti_traps, self._pmos_owners.size, draws_p,
-                guard=self.guard, tracer=self.tracer,
+                guard=self.guards, tracer=self.tracer,
             )
             self._nmos = FleetTraps(
                 tech.pbti_traps, self._nmos_owners.size, draws_n,
-                guard=self.guard, tracer=self.tracer,
+                guard=self.guards, tracer=self.tracer,
             )
             # Per-owner ceiling on delta_vth (every trap occupied), PMOS
             # owners first: the domain bound of the device.delta_vth
@@ -243,12 +271,12 @@ class FleetChip:
             self._pmos = BinnedFleetTraps(
                 TrapGrid(tech.nbti_traps, self._rep_p.size, bins_per_decade),
                 self.n_chips,
-                guard=self.guard,
+                guard=self.guards,
             )
             self._nmos = BinnedFleetTraps(
                 TrapGrid(tech.pbti_traps, self._rep_n.size, bins_per_decade),
                 self.n_chips,
-                guard=self.guard,
+                guard=self.guards,
             )
             for index in range(self.n_chips):
                 self._pmos.add_chip(
@@ -443,23 +471,34 @@ class FleetChip:
         chips: slice,
     ) -> None:
         lo, hi = chip_range(chips, self.n_chips)
-        span = slice(lo, hi)
         relax = (None, None) if v_relax is None else v_relax
-        if self.fidelity == "exact":
-            for pop, v, r in zip((self._pmos, self._nmos), v_stress, relax):
-                pop.evolve(duration, v, temperatures, duty=duty, v_relax=r, chips=span)
-        else:
-            # Class voltages: every owner of a class shares its fraction
-            # row, so one representative owner's voltage stands for all.
-            for pop, rep, v, r in zip(
-                (self._pmos, self._nmos), (self._rep_p, self._rep_n), v_stress, relax
-            ):
+        exhausted = self.guards.exhausted
+        known = len(exhausted)
+        runs = [(lo, hi)]
+        binned = self.fidelity != "exact"
+        for polarity, pop in enumerate((self._pmos, self._nmos)):
+            v, r = v_stress[polarity], relax[polarity]
+            if binned:
+                # Class voltages: every owner of a class shares its fraction
+                # row, so one representative owner's voltage stands for all.
+                rep = (self._rep_p, self._rep_n)[polarity]
+                v, r = v[:, rep], None if r is None else r[:, rep]
+            for a, b in runs:
+                rows = slice(a - lo, b - lo)
                 pop.evolve(
-                    duration, v[:, rep], temperatures,
-                    duty=duty, v_class_relax=None if r is None else r[:, rep], chips=span,
+                    duration, v[rows], temperatures[rows], duty, None if r is None else r[rows],
+                    chips=slice(a, b),
                 )
-        self._trap_updates.inc(self.netlist.n_owners * (hi - lo))
-        self.elapsed[span] += duration
+            if len(exhausted) > known:
+                # A chip whose budget ran out mid-step stops where it
+                # stood, as a lone chip whose check raised would.
+                live = [index for index in range(lo, hi) if index not in exhausted]
+                runs = [
+                    (live[p], live[q - 1] + 1) for p, q in contiguous_runs(live)
+                ] if live else []
+        for a, b in runs:
+            self._trap_updates.inc(self.netlist.n_owners * (b - a))
+            self.elapsed[a:b] += duration
 
     # ------------------------------------------------------------------ #
     # observables
@@ -473,13 +512,15 @@ class FleetChip:
         is the worst case.
         """
         shifts = np.concatenate((self._pmos.delta_vth(span), self._nmos.delta_vth(span)), axis=1)
-        guard = self.guard
-        if guard.checking:
-            shifts = guard.check_array(
+        guards = self.guards
+        if guards.checking:
+            shifts = guards.check_rows(
                 "device.delta_vth",
                 shifts,
                 0.0,
                 self._dvth_caps[span],
+                range(span.start, span.stop),
+                range(self.n_chips + 1),
                 inputs=lambda: {
                     "chips": self.chip_ids[span],
                     "elapsed": self.elapsed[span].tolist(),
@@ -522,11 +563,16 @@ class FleetChip:
             shift_n = self._nmos.readout_shift(span)
         fresh = self.fresh_path_delays[span]
         delays = fresh + shift_p + shift_n
-        guard = self.guard
-        if guard.checking:
+        guards = self.guards
+        # One vectorised precheck of the per-chip contract below (same
+        # bound and tolerance): a clean span skips the per-chip calls.
+        if guards.checking and not (
+            np.isfinite(delays).all() and (delays >= fresh - 1e-9 * fresh).all()
+        ):
             for offset, (delay, chip_fresh) in enumerate(zip(delays.tolist(), fresh.tolist())):
                 index = lo + offset
-                delays[offset] = guard.check_scalar(
+                delays[offset] = guards.check_scalar(
+                    index,
                     "fpga.path_delay",
                     delay,
                     chip_fresh,
@@ -580,9 +626,12 @@ class FleetChip:
         self._nmos.inject_upset(index, value, n_traps)
 
     def view(self, index: int) -> "FpgaChip":
-        """The :class:`FpgaChip` of one lot position (exact fidelity only)."""
-        if self.fidelity != "exact":
-            raise ConfigurationError("a chip view requires the exact fidelity")
+        """The :class:`FpgaChip` of one lot position.
+
+        A view of a binned lot ages, reads out and checkpoints like any
+        chip; only its per-owner readout (:meth:`FpgaChip.delta_vth`)
+        needs the exact fidelity.
+        """
         if not 0 <= index < self.n_chips:
             raise ConfigurationError(f"chip index {index} outside this fleet")
         return FpgaChip._of(self, index)
@@ -662,9 +711,14 @@ class FpgaChip:
         self.chip_id = fleet.chip_ids[index]
         self.tech = fleet.tech
         self.netlist = fleet.netlist
-        #: The chip's contract checker (its lot's guard).
-        self.guard = fleet.guard
+        #: The chip's contract checker (its lot's guard for this position).
+        self.guard = fleet.guards.guards[index]
         self.fresh_path_delay = float(fleet.fresh_path_delays[index])
+
+    @property
+    def lot(self) -> tuple[FleetChip, int]:
+        """The lot this chip is a view of, and its position in it."""
+        return self._fleet, self._index
 
     # ------------------------------------------------------------------ #
     # observables

@@ -26,6 +26,7 @@ configuration.
 from repro.guard.bundle import ReproBundle, read_bundle, write_bundle
 from repro.guard.contracts import (
     EXP_MAX,
+    ChipGuards,
     Guard,
     GuardConfig,
     GuardMode,
@@ -38,6 +39,7 @@ from repro.guard.contracts import (
 
 __all__ = [
     "EXP_MAX",
+    "ChipGuards",
     "Guard",
     "GuardConfig",
     "GuardMode",

@@ -156,23 +156,7 @@ class Guard:
         place* (NaN to ``lo``, then clipped), so callers must pass a
         writeable array.  Returns the (possibly repaired) array.
         """
-        if not self.checking or values.size == 0:
-            return values
-        if tol is None:
-            tol = self.config.atol
-        if isinstance(hi, np.ndarray):
-            ok = bool(np.all(values >= lo - tol)) and bool(
-                np.all(values <= hi + tol)
-            )
-        else:
-            # min/max are NaN-poisoning reductions: a single NaN makes
-            # both comparisons False, so this pair also catches NaN, and
-            # the strict < inf catches +inf even under an infinite bound.
-            vmax = values.max()
-            ok = (values.min() >= lo - tol) and (vmax <= hi + tol) and (
-                vmax < math.inf
-            )
-        if ok:
+        if not self.checking or self.array_ok(values, lo, hi, tol):
             return values
         return self._violated(
             contract,
@@ -182,6 +166,20 @@ class Guard:
             arrays=arrays,
             fallback_arrays={"values": values},
         )
+
+    def array_ok(self, values: np.ndarray, lo: float, hi, tol: float | None = None) -> bool:
+        """True when :meth:`check_array` would pass ``values`` untouched."""
+        if values.size == 0:
+            return True
+        if tol is None:
+            tol = self.config.atol
+        if isinstance(hi, np.ndarray):
+            return bool(np.all(values >= lo - tol)) and bool(np.all(values <= hi + tol))
+        # min/max are NaN-poisoning reductions: a single NaN makes both
+        # comparisons False, so this pair also catches NaN, and the
+        # strict < inf catches +inf even under an infinite bound.
+        vmax = values.max()
+        return bool((values.min() >= lo - tol) and (vmax <= hi + tol) and (vmax < math.inf))
 
     def check_scalar(
         self,
@@ -348,6 +346,111 @@ def _clip_scalar(value: float, lo: float, hi: float) -> float:
     if not math.isfinite(value):  # +/-inf inside an infinite bound
         return lo if math.isfinite(lo) else 0.0
     return float(value)
+
+
+class ChipGuards:
+    """The guards of a chip lot: one shared :class:`Guard`, or one per chip.
+
+    A shared guard checks a whole chip span in one call, exactly as a
+    lone guard would, and a budget it exhausts raises at once.  Per-chip
+    guards (``per_chip=True``) keep that batched check on the clean
+    path; on a violation the span is re-checked chip by chip with each
+    chip's own guard, so counts, clamps, bundles and budgets stay per
+    chip.  A per-chip guard whose budget runs out does not raise: its
+    lot position is recorded in :attr:`exhausted` with the
+    :class:`~repro.errors.ChipDropoutError`, later checks skip it, and
+    the owner of the lot quarantines it.
+    """
+
+    __slots__ = ("guards", "per_chip", "config", "checking", "exhausted")
+
+    def __init__(self, guards, per_chip: bool = True) -> None:
+        self.guards = list(guards)
+        self.per_chip = per_chip
+        lead = self.guards[0]
+        self.config = lead.config
+        self.checking = lead.checking
+        if per_chip and any(guard.config != self.config for guard in self.guards):
+            raise ConfigurationError("per-chip guards of one lot must share a config")
+        #: Lot position -> the error that ended its violation budget.
+        self.exhausted: dict[int, ChipDropoutError] = {}
+
+    @classmethod
+    def shared(cls, guard: Guard, n_chips: int) -> "ChipGuards":
+        """One guard checking every chip of an ``n_chips`` lot."""
+        return cls([guard] * n_chips, per_chip=False)
+
+    def _per_chip(self, chip: int, check: Callable[[Guard], object], default):
+        """``check(guard of chip)``; an exhausted budget is recorded, not raised."""
+        try:
+            return check(self.guards[chip])
+        except ChipDropoutError as error:
+            self.exhausted[chip] = error
+            return default
+
+    def check_rows(
+        self,
+        contract: str,
+        values: np.ndarray,
+        lo: float,
+        hi,
+        chips: range,
+        cuts,
+        *,
+        inputs: Mapping | Callable[[], Mapping] | None = None,
+        arrays: Mapping | Callable[[], Mapping] | None = None,
+    ) -> np.ndarray:
+        """:meth:`Guard.check_array` over the lot positions ``chips``.
+
+        ``values`` is laid out by the lot-wide offsets ``cuts``: chip
+        ``c`` owns ``values[cuts[c] - base : cuts[c + 1] - base]`` with
+        ``base = cuts[chips.start]`` (and the same rows of an array
+        ``hi``).  Repairs land in place.
+        """
+        if not self.checking:
+            return values
+        if not self.per_chip:
+            return self.guards[chips.start].check_array(
+                contract, values, lo, hi, inputs=inputs, arrays=arrays
+            )
+        if self.guards[chips.start].array_ok(values, lo, hi):
+            return values
+        base = cuts[chips.start]
+        for chip in chips:
+            if chip in self.exhausted:
+                continue
+            rows = slice(cuts[chip] - base, cuts[chip + 1] - base)
+            bound = hi[rows] if isinstance(hi, np.ndarray) else hi
+            self._per_chip(
+                chip,
+                lambda guard: guard.check_array(
+                    contract, values[rows], lo, bound, inputs=inputs, arrays=arrays
+                ),
+                None,
+            )
+        return values
+
+    def check_scalar(
+        self, chip: int, contract: str, value: float, lo: float, hi: float, **kwargs
+    ) -> float:
+        """:meth:`Guard.check_scalar` of one chip's value."""
+        if not self.per_chip:
+            return self.guards[chip].check_scalar(contract, value, lo, hi, **kwargs)
+        if chip in self.exhausted:
+            return value
+        return self._per_chip(
+            chip, lambda guard: guard.check_scalar(contract, value, lo, hi, **kwargs), value
+        )
+
+    def positive_scalar(self, chip: int, contract: str, value: float, **kwargs) -> float:
+        """:meth:`Guard.positive_scalar` of one chip's value."""
+        if not self.per_chip:
+            return self.guards[chip].positive_scalar(contract, value, **kwargs)
+        if chip in self.exhausted:
+            return value
+        return self._per_chip(
+            chip, lambda guard: guard.positive_scalar(contract, value, **kwargs), value
+        )
 
 
 # -- ambient guard (mirrors repro.obs.get_tracer/set_tracer/use_tracer) --

@@ -4,25 +4,22 @@ These classes replace the paper's physical test setup — thermal chamber
 (+/-0.3 degC), DC power supply with a negative rail, 500 Hz reference
 clock — and orchestrate the accelerated stress/recovery schedules of the
 paper's Table 1 on virtual :class:`~repro.fpga.chip.FpgaChip` instances.
+One campaign engine (:mod:`repro.lab.fleet`) runs every campaign, from
+the paper's five chips to 10k-chip lots.
 """
 
 from repro.lab.clock_generator import ClockGenerator
-from repro.lab.campaign import (
-    Campaign,
-    CampaignResult,
-    run_table1_campaign,
-    table1_horizon,
-)
+from repro.lab.campaign import CampaignResult, run_table1_campaign, table1_horizon
 from repro.lab.datalog import DataLog, MeasurementRecord
 from repro.lab.faults import FaultEvent, FaultInjector, FaultKind, FaultPlan
-from repro.lab.measurement import VirtualTestbench
-from repro.lab.power_supply import DcPowerSupply
-from repro.lab.resilience import (
-    CheckpointStore,
-    QuarantineReport,
-    ResilientTestbench,
-    RetryPolicy,
+from repro.lab.fleet import (
+    FleetBench,
+    FleetCampaignResult,
+    VirtualTestbench,
+    run_fleet_campaign,
 )
+from repro.lab.power_supply import DcPowerSupply
+from repro.lab.resilience import CheckpointStore, QuarantineReport, RetryPolicy
 from repro.lab.replay import fresh_delays_from_log, result_from_csv, result_from_log
 from repro.lab.schedule import (
     PhaseKind,
@@ -35,7 +32,6 @@ from repro.lab.schedule import (
 from repro.lab.thermal_chamber import ThermalChamber
 
 __all__ = [
-    "Campaign",
     "CampaignResult",
     "CheckpointStore",
     "ClockGenerator",
@@ -45,13 +41,14 @@ __all__ = [
     "FaultInjector",
     "FaultKind",
     "FaultPlan",
+    "FleetBench",
+    "FleetCampaignResult",
     "fresh_delays_from_log",
     "result_from_csv",
     "result_from_log",
     "MeasurementRecord",
     "PhaseKind",
     "QuarantineReport",
-    "ResilientTestbench",
     "RetryPolicy",
     "TABLE1_CASES",
     "TestCase",
@@ -59,6 +56,7 @@ __all__ = [
     "ThermalChamber",
     "VirtualTestbench",
     "parse_case_name",
+    "run_fleet_campaign",
     "run_table1_campaign",
     "standard_case",
     "table1_horizon",

@@ -10,215 +10,13 @@ The testbench reproduces the paper's measurement discipline:
   overhead is less than 3 s") — the burst itself briefly AC-stresses the
   chip at nominal rail, exactly as on hardware;
 * each readout averages a few counter reads from a stable window.
+
+There is one bench.  :class:`VirtualTestbench` is a one-chip view of
+:class:`~repro.lab.fleet.FleetBench`, which runs lock-step groups of a
+chip lot; both are defined in :mod:`repro.lab.fleet`, and this module
+is their import home for single-chip users.
 """
 
-from __future__ import annotations
+from repro.lab.fleet import FleetBench, VirtualTestbench
 
-import numpy as np
-
-from repro.errors import ConfigurationError, MeasurementError
-from repro.fpga.counter import ReadoutCounter
-from repro.fpga.ring_oscillator import RingOscillator, StressMode
-from repro.lab.clock_generator import ClockGenerator
-from repro.lab.datalog import DataLog, MeasurementRecord
-from repro.lab.power_supply import DcPowerSupply
-from repro.lab.schedule import NOMINAL_RAIL, PhaseKind, TestPhase
-from repro.lab.thermal_chamber import ThermalChamber
-from repro.obs import get_tracer
-
-
-class VirtualTestbench:
-    """One chip under a thermal chamber, supply and readout chain.
-
-    Parameters
-    ----------
-    chip:
-        The :class:`~repro.fpga.chip.FpgaChip` under test.
-    chamber / supply / clock:
-        Virtual instruments; defaults reproduce the paper's setup.
-    reads_per_sample:
-        Counter readouts averaged per recorded sample.
-    sampling_overhead:
-        Seconds the RO runs (AC, nominal rail) per readout burst.
-    rng:
-        Seed or generator for every noise source on the bench.
-    tracer:
-        Telemetry sink for phase/measurement spans and sample counters;
-        defaults to the process tracer (a no-op unless one was
-        installed).
-    """
-
-    def __init__(
-        self,
-        chip,
-        chamber: ThermalChamber | None = None,
-        supply: DcPowerSupply | None = None,
-        clock: ClockGenerator | None = None,
-        reads_per_sample: int = 3,
-        sampling_overhead: float = 3.0,
-        rng: np.random.Generator | int | None = None,
-        tracer=None,
-    ) -> None:
-        if reads_per_sample <= 0:
-            raise ConfigurationError("reads_per_sample must be positive")
-        if sampling_overhead < 0.0:
-            raise ConfigurationError("sampling_overhead must be non-negative")
-        self.chip = chip
-        self.chamber = chamber or ThermalChamber()
-        self.supply = supply or DcPowerSupply()
-        self.clock = clock or ClockGenerator()
-        self.tracer = tracer if tracer is not None else get_tracer()
-        self.ro = RingOscillator(
-            chip, ReadoutCounter(fref=self.clock.frequency), tracer=self.tracer
-        )
-        self.reads_per_sample = reads_per_sample
-        self.sampling_overhead = sampling_overhead
-        if not isinstance(rng, np.random.Generator):
-            rng = np.random.default_rng(rng)
-        self._rng = rng
-        self._samples = self.tracer.counter(
-            "lab.samples", "RO readout samples taken by testbenches"
-        )
-        self._records = self.tracer.counter(
-            "datalog.records", "measurement records appended to campaign logs"
-        )
-
-    @property
-    def rng_state(self):
-        """The bench RNG's bit-generator state (for determinism hashing)."""
-        return self._rng.bit_generator.state
-
-    def _delivered_temperature(self) -> float:
-        """Chamber temperature (kelvin) the chip sees right now.
-
-        Extension point: the resilience layer adds fault drift and chip
-        dropout detection here without touching the nominal path.
-        """
-        return self.chamber.actual_temperature(self._rng)
-
-    def _delivered_voltage(self) -> float:
-        """Supply voltage (volts) the chip sees right now."""
-        return self.supply.actual_voltage(self._rng)
-
-    def _read_measurement(self):
-        """One averaged RO readout burst (the fault-injectable step)."""
-        return self.ro.measure_averaged(self.reads_per_sample, rng=self._rng)
-
-    def take_sample(
-        self, case: str, phase_label: str, phase_elapsed: float
-    ) -> MeasurementRecord:
-        """Wake the RO, average a few reads, and return the record.
-
-        The readout burst applies ``sampling_overhead`` seconds of AC
-        activity at nominal rail and chamber temperature — negligible
-        aging, but modelled because hardware cannot measure for free.
-        """
-        with self.tracer.span(
-            "measurement",
-            chip_id=self.chip.chip_id,
-            case=case,
-            phase=phase_label,
-        ) as span:
-            if self.sampling_overhead > 0.0:
-                self.chip.apply_stress(
-                    self.sampling_overhead,
-                    temperature=self._delivered_temperature(),
-                    supply_voltage=NOMINAL_RAIL,
-                    mode=StressMode.AC,
-                )
-            try:
-                measurement = self._read_measurement()
-            except MeasurementError as error:
-                raise type(error)(
-                    f"{self.chip.chip_id} case {case} phase {phase_label}: {error}"
-                ) from error
-            self._samples.inc()
-            span.set("sim_advanced", self.sampling_overhead)
-            return MeasurementRecord(
-                chip_id=self.chip.chip_id,
-                case=case,
-                phase=phase_label,
-                timestamp=self.chip.elapsed,
-                phase_elapsed=phase_elapsed,
-                count=measurement.count,
-                frequency=measurement.frequency,
-                delay=measurement.delay,
-                temperature_c=self.chamber.setpoint_celsius,
-                # A rail behind an open relay delivers 0 V no matter what
-                # the setpoint register holds.
-                supply_voltage=(
-                    self.supply.setpoint if self.supply.output_enabled else 0.0
-                ),
-            )
-
-    def _apply_chunk(
-        self, phase: TestPhase, chunk: float, temperature: float, voltage: float
-    ) -> None:
-        """Advance the chip through ``chunk`` seconds of the phase bias."""
-        if phase.kind is PhaseKind.STRESS:
-            self.chip.apply_stress(
-                chunk,
-                temperature=temperature,
-                supply_voltage=voltage,
-                mode=phase.mode,
-            )
-        else:
-            self.chip.apply_recovery(
-                chunk, temperature=temperature, supply_voltage=voltage
-            )
-
-    def _record_sample(
-        self, log: DataLog, case: str, phase: TestPhase, phase_elapsed: float
-    ) -> None:
-        """Take one sample and append it to ``log``.
-
-        Extension point: the resilience layer wraps this with bounded
-        retries and deterministic backoff.
-        """
-        log.append(self.take_sample(case, phase.label, phase_elapsed))
-        self._records.inc()
-
-    def run_phase(self, phase: TestPhase, case: str, log: DataLog) -> None:
-        """Execute one phase, recording samples into ``log``.
-
-        A sample is taken at the start of the phase (time 0 — the paper's
-        recovery figures anchor there) and after every sampling interval.
-        """
-        with self.tracer.span(
-            "phase",
-            chip_id=self.chip.chip_id,
-            case=case,
-            phase=phase.label,
-            kind=phase.kind.value,
-            temperature_c=phase.temperature_c,
-            supply_voltage=phase.supply_voltage,
-        ) as span:
-            sim_start = self.chip.elapsed
-            self.chamber.set_temperature_celsius(phase.temperature_c)
-            # Exact sentinel: 0.0 V comes straight from the schedule
-            # grammar (case suffix "Z"), never from arithmetic.
-            if phase.kind is PhaseKind.RECOVERY and phase.supply_voltage == 0.0:  # repro: noqa[RPR003]
-                # Passive recovery power-gates the rail: the relay opens and
-                # the chip sees exactly 0 V, not a noisy millivolt setpoint.
-                self.supply.set_voltage(0.0)
-                self.supply.disable_output()
-            else:
-                self.supply.enable_output()
-                self.supply.set_voltage(phase.supply_voltage)
-            self._record_sample(log, case, phase, 0.0)
-            elapsed = 0.0
-            # Summing float chunks can stall a hair short of the duration
-            # (e.g. ten 0.1 s intervals sum to 0.9999999999999999); without
-            # a tolerance the loop would schedule a spurious near-zero
-            # final chunk and log a duplicate sample.
-            tolerance = 1e-9 * phase.duration
-            while phase.duration - elapsed > tolerance:
-                chunk = min(phase.sampling_interval, phase.duration - elapsed)
-                temperature = self._delivered_temperature()
-                voltage = self._delivered_voltage()
-                self._apply_chunk(phase, chunk, temperature, voltage)
-                elapsed += chunk
-                if phase.duration - elapsed <= tolerance:
-                    elapsed = phase.duration
-                self._record_sample(log, case, phase, elapsed)
-            span.set("sim_advanced", self.chip.elapsed - sim_start)
+__all__ = ["FleetBench", "VirtualTestbench"]

@@ -8,8 +8,8 @@ phase appended, the chip's trap-occupancy state and the bench RNG state
 into a rolling SHA-256.  The digests land both in
 ``CampaignResult.state_hashes`` (for direct equality asserts) and in
 ``state_hash`` spans on the trace, so two runs — two processes with
-different hash seeds, the campaign runner vs the exact fleet engine, or
-today vs last week — can be compared span-by-span and ``repro trace
+different hash seeds, one shard vs several, or today vs last week — can
+be compared span-by-span and ``repro trace
 diff`` pinpoints the first phase where chip state diverged.
 
 Hashes depend only on per-chip simulated history, never on wall clock,
@@ -63,9 +63,8 @@ class _ChipHasher:
 class DeterminismSanitizer:
     """Collects per-chip phase-boundary digests for one campaign run.
 
-    One instance per campaign run (the fleet engine uses one per chip
-    batch; a chip never spans two instances, so their ``hashes`` dicts
-    merge cleanly).
+    One instance per chip batch of a campaign run (a chip never spans two
+    instances, so their ``hashes`` dicts merge cleanly).
     """
 
     enabled = True

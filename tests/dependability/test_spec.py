@@ -4,6 +4,7 @@ import pytest
 
 from repro.dependability import (
     LifetimeSettings,
+    SweepRunner,
     SweepSpec,
     demo_spec,
     validate_sweep_spec,
@@ -139,14 +140,18 @@ class TestValidation:
             "budget_fraction" in f.message for f in validate_sweep_spec(spec)
         )
 
-    def test_fleet_restrictions(self):
+    def test_fleet_engine_accepts_every_faultload(self, tmp_path):
         spec = small_spec(
-            engine="fleet", dropout_probs=(0.5,), guard_budget=2
+            engine="fleet", n_chips=2, fault_rates=(24.0,), dropout_probs=(0.5,),
+            upset_probs=(0.5,), guard_modes=("clamp",), alphas=(1.0,), guard_budget=2,
         )
-        messages = " ".join(f.message for f in validate_sweep_spec(spec))
-        assert "rate-driven fault kinds" in messages
-        assert "chip dropout" in messages
-        assert "guard violation budgets" in messages
+        assert validate_sweep_spec(spec) == []
+        result = SweepRunner(spec, tmp_path, isolation="inline").run()
+        (outcome,) = result.outcomes
+        assert outcome.ok
+        assert outcome.stats["engine"] == "fleet"
+        assert outcome.stats["faults_planned"] > 0
+        assert outcome.stats["measurements"] > 0
 
     def test_expand_raises_on_invalid(self):
         with pytest.raises(ConfigurationError, match="RPR106"):

@@ -229,3 +229,93 @@ class TestBundles:
         )
         payload = json.loads((path / "violation.json").read_text())
         assert payload["inputs"] == {"a": 1, "b": 2}
+
+
+class TestChipGuards:
+    """Per-chip guards of a lot: batched when clean, per chip on a violation."""
+
+    CLAMP = GuardConfig(mode="clamp", dump_dir=None)
+
+    @staticmethod
+    def lot(config, n_chips=2):
+        from repro.fpga.fleet import FleetChip
+
+        guards = [Guard(config, owner=f"c{i}") for i in range(n_chips)]
+        return FleetChip([f"c{i}" for i in range(n_chips)], [11, 12][:n_chips], guard=guards)
+
+    @staticmethod
+    def states_equal(a, b):
+        return all(np.array_equal(a[key], b[key], equal_nan=True) for key in a)
+
+    def test_clamps_and_counts_stay_per_chip(self):
+        from repro.fpga.fleet import FleetChip
+
+        fleet = self.lot(self.CLAMP)
+        lone = FleetChip(["c0"], [11], guard=Guard(self.CLAMP, owner="c0"))
+        fleet.inject_trap_upset_chip(1, float("nan"))
+        temperatures = np.array([383.15, 383.15])
+        fleet.apply_stress(3600.0, temperatures, np.array([1.2, 1.2]))
+        lone.apply_stress(3600.0, temperatures[:1], np.array([1.2]))
+        first, second = fleet.guards.guards
+        assert (first.violations, second.violations) == (0, 2)
+        assert self.states_equal(fleet.export_chip_state(0), lone.export_chip_state(0))
+        assert not np.isnan(fleet.export_chip_state(1)["pmos_occupancy"]).any()
+
+    def test_exhausted_budget_stops_only_that_chip(self):
+        from repro.fpga.fleet import FleetChip
+
+        config = GuardConfig(mode="clamp", violation_budget=0, dump_dir=None)
+        fleet = self.lot(config)
+        lone = FleetChip(["c0"], [11], guard=Guard(config, owner="c0"))
+        temperatures = np.array([383.15, 383.15])
+        # 400 V overflows chip 1's capture rates: its budget ends at the
+        # rate check, before its traps move.
+        fleet.apply_stress(3600.0, temperatures, np.array([1.2, 400.0]))
+        lone.apply_stress(3600.0, temperatures[:1], np.array([1.2]))
+        assert list(fleet.guards.exhausted) == [1]
+        assert isinstance(fleet.guards.exhausted[1], ChipDropoutError)
+        assert self.states_equal(fleet.export_chip_state(0), lone.export_chip_state(0))
+        stopped = fleet.export_chip_state(1)
+        assert stopped["elapsed"] == stopped["pmos_elapsed"] == stopped["nmos_elapsed"] == 0.0
+        assert not stopped["pmos_occupancy"].any() and not stopped["nmos_occupancy"].any()
+
+    def test_middle_chip_stops_mid_step_and_splits_the_span(self):
+        from repro.fpga.fleet import FleetChip
+
+        config = GuardConfig(mode="clamp", violation_budget=0, dump_dir=None)
+        seeds = [11, 12, 13]
+        fleet = FleetChip(
+            ["c0", "c1", "c2"], seeds, guard=[Guard(config, owner=f"c{i}") for i in range(3)]
+        )
+        fleet.inject_trap_upset_chip(1, float("nan"))
+        temperatures = np.full(3, 383.15)
+        fleet.apply_stress(3600.0, temperatures, np.full(3, 1.2))
+        assert list(fleet.guards.exhausted) == [1]
+        for position in (0, 2):
+            lone = FleetChip(["c"], [seeds[position]], guard=Guard(config, owner="c"))
+            lone.apply_stress(3600.0, temperatures[:1], np.full(1, 1.2))
+            assert self.states_equal(
+                fleet.export_chip_state(position), lone.export_chip_state(0)
+            )
+        # The PMOS check ran out chip 1's budget: its PMOS traps moved
+        # (and were clamped), its NMOS traps and chip clock did not.
+        stopped = fleet.export_chip_state(1)
+        assert stopped["pmos_elapsed"] == 3600.0
+        assert stopped["nmos_elapsed"] == stopped["elapsed"] == 0.0
+        assert not np.isnan(stopped["pmos_occupancy"]).any()
+        assert np.isnan(stopped["nmos_occupancy"]).any()
+
+    def test_raise_mode_bundle_names_the_violating_chip(self, tmp_path):
+        fleet = self.lot(GuardConfig(mode="raise", dump_dir=str(tmp_path)))
+        fleet.inject_trap_upset_chip(1, float("nan"))
+        with pytest.raises(PhysicsViolationError) as err:
+            fleet.apply_stress(3600.0, np.array([383.15, 383.15]), np.array([1.2, 1.2]))
+        bundle = read_bundle(err.value.bundle_path)
+        assert (bundle.owner, bundle.contract) == ("c1", "bti.occupancy")
+        assert fleet.guards.guards[0].violations == 0
+
+    def test_per_chip_guards_share_one_config(self):
+        from repro.guard import ChipGuards
+
+        with pytest.raises(ConfigurationError):
+            ChipGuards([Guard(self.CLAMP), Guard(GuardConfig(mode="raise", dump_dir=None))])

@@ -3,7 +3,8 @@
 import numpy as np
 
 from repro.fpga.chip import FpgaChip
-from repro.lab.campaign import Campaign
+from repro.lab.datalog import DataLog
+from repro.lab.measurement import VirtualTestbench
 from repro.lab.schedule import standard_case
 from repro.multicore.scheduler import HeaterAwareScheduler
 from repro.multicore.system import MulticoreSystem
@@ -16,10 +17,13 @@ from tests.multicore.test_system import fast_params
 
 class TestCampaignDeterminism:
     def _run(self, seed: int):
-        campaign = Campaign(n_chips=1, seed=seed)
-        campaign.run_case(standard_case("AS110DC24", chip_no=1))
-        campaign.run_case(standard_case("AR110N6", chip_no=1))
-        return [(r.timestamp, r.count) for r in campaign.log]
+        bench = VirtualTestbench(FpgaChip("chip-1", seed=seed), rng=seed)
+        log = DataLog()
+        for name in ("AS110DC24", "AR110N6"):
+            case = standard_case(name, chip_no=1)
+            for phase in case.phases:
+                bench.run_phase(phase, case.name, log)
+        return [(r.timestamp, r.count) for r in log]
 
     def test_same_seed_identical_logs(self):
         assert self._run(5) == self._run(5)

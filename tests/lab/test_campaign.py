@@ -4,31 +4,36 @@ import numpy as np
 import pytest
 
 from repro.errors import ScheduleError
-from repro.lab.campaign import Campaign
+from repro.fpga.chip import FpgaChip
+from repro.lab.campaign import run_table1_campaign
+from repro.lab.datalog import DataLog
+from repro.lab.measurement import VirtualTestbench
 from repro.lab.schedule import standard_case
 
 
 class TestCampaignUnit:
     def test_chip_numbering(self):
-        campaign = Campaign(n_chips=3, seed=0)
-        assert campaign.chip_id(1) == "chip-1"
+        result = run_table1_campaign(seed=0, n_chips=3, include_baseline=False)
+        assert sorted(result.chips) == ["chip-1", "chip-2", "chip-3"]
         with pytest.raises(ScheduleError):
-            campaign.chip_id(4)
+            result.delay_change_series("AS110AC24", chip_no=4)
 
-    def test_chips_have_distinct_fresh_delays(self):
-        campaign = Campaign(n_chips=5, seed=0)
-        delays = set(campaign.fresh_delays.values())
+    def test_chips_have_distinct_fresh_delays(self, campaign_result):
+        delays = set(campaign_result.fresh_delays.values())
         assert len(delays) == 5
 
     def test_run_case_logs_measurements(self):
-        campaign = Campaign(n_chips=2, seed=0)
-        campaign.run_case(standard_case("AS110DC24", chip_no=1))
-        assert len(campaign.log) > 50
-        assert campaign.log.cases() == ["AS110DC24"]
+        bench = VirtualTestbench(FpgaChip("chip-1", seed=0), rng=0)
+        log = DataLog()
+        case = standard_case("AS110DC24", chip_no=1)
+        for phase in case.phases:
+            bench.run_phase(phase, case.name, log)
+        assert len(log) > 50
+        assert log.cases() == ["AS110DC24"]
 
     def test_rejects_nonpositive_chip_count(self):
         with pytest.raises(ScheduleError):
-            Campaign(n_chips=0)
+            run_table1_campaign(n_chips=0)
 
 
 class TestTable1Integration:
@@ -75,7 +80,8 @@ class TestTable1Integration:
         assert np.diff(times)[0] == pytest.approx(1800.0)
 
     def test_interactive_bench_builds_the_campaign_chips(self, campaign_result):
-        assert Campaign(n_chips=5, seed=0).fresh_delays == campaign_result.fresh_delays
+        unbaselined = run_table1_campaign(seed=0, include_baseline=False)
+        assert unbaselined.fresh_delays == campaign_result.fresh_delays
 
     def test_chip5_restress_deeper_than_first(self, campaign_result):
         __, first = campaign_result.delay_change_series("AS110DC24", chip_no=5)

@@ -11,16 +11,16 @@ exact.  (The full 5-chip identity run lives in
 smaller lots to stay fast.)
 """
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, ScheduleError
-from repro.lab.campaign import run_table1_campaign
+from repro.lab.campaign import run_table1_campaign, table1_horizon
 from repro.lab.fleet import (
     AUTO_EXACT_LIMIT,
     fleet_chip_no,
     run_fleet_campaign,
 )
+from repro.obs import ProgressReporter, Tracer
 
 
 class TestExactBitIdentity:
@@ -109,6 +109,11 @@ class TestCollectionModes:
         # First and last record of every (chip, phase) survive the trim.
         kept = {(r.chip_id, r.case, r.phase) for r in trimmed.log}
         assert kept == {(r.chip_id, r.case, r.phase) for r in full.log}
+        # Summaries count every record taken, trimmed or not.
+        assert [s.measurements for s in trimmed.summaries] == [
+            s.measurements for s in full.summaries
+        ]
+        assert sum(s.measurements for s in full.summaries) == len(full.log)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ScheduleError):
@@ -119,3 +124,45 @@ class TestCollectionModes:
             run_fleet_campaign(n_chips=2, collect="everything")
         with pytest.raises(ConfigurationError):
             run_fleet_campaign(n_chips=2, fidelity="approximate")
+
+
+class TestTiledSchedule:
+    def test_six_chip_campaign_tiles_the_five_rows(self):
+        import io
+
+        buffer = io.StringIO()
+        table1 = run_table1_campaign(
+            seed=2, n_chips=6, include_baseline=False,
+            progress=ProgressReporter(stream=buffer),
+        )
+        fleet = run_fleet_campaign(seed=2, n_chips=6, include_baseline=False,
+                                   fidelity="exact")
+        assert list(table1.log) == list(fleet.log)
+        # Chip 6 runs paper chip 1's row.
+        assert table1.log.filter(chip_id="chip-6").cases() == ["AS110AC24"]
+        assert table1_horizon(6) == table1_horizon(5)
+        # One progress line per chip and case, and the totals agree.
+        lines = buffer.getvalue().splitlines()
+        assert len(lines) == 12
+        assert "(12/12 cases, 5/6 chips)" in lines[-1]
+
+
+class TestSpanAccounting:
+    def test_case_spans_sum_to_the_root(self):
+        tracer = Tracer()
+        result = run_fleet_campaign(seed=4, n_chips=7, fidelity="exact", tracer=tracer)
+        root = tracer.spans("campaign")[0]
+        assert set(root.attributes) == {"seed", "n_chips", "fidelity", "shards",
+                                        "sim_advanced"}
+        assert (root.attributes["fidelity"], root.attributes["shards"]) == ("exact", 1)
+        elapsed = sum(chip.elapsed for chip in result.chips.values())
+        assert root.sim_advanced == pytest.approx(elapsed, rel=1e-12)
+        cases = sum(span.sim_advanced for span in tracer.spans("case"))
+        assert cases == pytest.approx(root.sim_advanced, rel=1e-12)
+        # One measurement span per sampled group: the 7-chip baseline is
+        # one group, rows 1 and 2 hold two chips each.
+        measurements = tracer.spans("measurement")
+        assert measurements
+        burst_time = sum(span.sim_advanced for span in measurements)
+        assert burst_time == pytest.approx(3.0 * len(result.log))
+        assert len(measurements) < len(result.log)

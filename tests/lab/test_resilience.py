@@ -21,7 +21,7 @@ from repro.lab.campaign import run_table1_campaign, table1_horizon
 from repro.lab.datalog import DataLog
 from repro.lab.faults import FaultEvent, FaultInjector, FaultKind, FaultPlan
 from repro.lab.measurement import VirtualTestbench
-from repro.lab.resilience import CheckpointStore, ResilientTestbench, RetryPolicy
+from repro.lab.resilience import CheckpointStore, RetryPolicy
 from repro.lab.schedule import PhaseKind, TestPhase
 from repro.units import hours, minutes
 
@@ -125,7 +125,7 @@ class TestResilientTestbench:
         plain_log, resilient_log = DataLog(), DataLog()
         plain = VirtualTestbench(chip_factory(seed=1), rng=9)
         plain.run_phase(phase, "CASE", plain_log)
-        bench = ResilientTestbench(
+        bench = VirtualTestbench(
             chip_factory(seed=1), injector=FaultInjector(FaultPlan(), "chip-seed1"),
             rng=9,
         )
@@ -137,7 +137,7 @@ class TestResilientTestbench:
         plan = FaultPlan([
             FaultEvent(FaultKind.DROPPED_READOUT, chip.chip_id, start=minutes(30.0)),
         ])
-        bench = ResilientTestbench(
+        bench = VirtualTestbench(
             chip,
             injector=FaultInjector(plan, chip.chip_id),
             retry=RetryPolicy(max_attempts=3, backoff_seconds=4.0),
@@ -158,7 +158,7 @@ class TestResilientTestbench:
             FaultEvent(FaultKind.DROPPED_READOUT, chip.chip_id, start=0.0),
             FaultEvent(FaultKind.DROPPED_READOUT, chip.chip_id, start=0.0),
         ])
-        bench = ResilientTestbench(
+        bench = VirtualTestbench(
             chip,
             injector=FaultInjector(plan, chip.chip_id),
             retry=RetryPolicy(max_attempts=2, backoff_seconds=1.0),
@@ -174,7 +174,7 @@ class TestResilientTestbench:
                        magnitude=13),
         ])
         injector = FaultInjector(plan, chip.chip_id)
-        bench = ResilientTestbench(chip, injector=injector, rng=9)
+        bench = VirtualTestbench(chip, injector=injector, rng=9)
         log = DataLog()
         bench.run_phase(short_stress_phase(), "CASE", log)
         assert injector.fired and injector.fired[0].kind is FaultKind.STUCK_BIT
@@ -186,12 +186,13 @@ class TestResilientTestbench:
             FaultEvent(FaultKind.THERMAL_DRIFT, chip.chip_id, start=0.0,
                        duration=hours(2.0), magnitude=3.0),
         ])
-        bench = ResilientTestbench(
+        bench = VirtualTestbench(
             chip, injector=FaultInjector(plan, chip.chip_id), rng=9
         )
         bench.chamber.set_temperature_celsius(110.0)
         # Beyond the chamber's +/-0.3 degC control band around the setpoint.
-        assert bench._delivered_temperature() - bench.chamber.setpoint > 0.3
+        delivered = bench.bench._delivered_temperature(chip.lot[1])
+        assert delivered - bench.chamber.setpoint > 0.3
 
 
 class TestCampaignQuarantine:
@@ -258,8 +259,8 @@ class TestCheckpointResume:
             original(self, chip, *args, **kwargs)
             if state["armed"]:
                 state["saves"] += 1
-                # Saves in chip order: chip-1 baseline, chip-1 case,
-                # chip-2 baseline, chip-2 first case — die after that one.
+                # Saves in schedule order: both baselines, then chip-1's
+                # case, then chip-2's first case — die after that one.
                 if state["saves"] == 4:
                     raise RuntimeError("simulated power loss")
 

@@ -13,7 +13,8 @@ import pytest
 
 from repro.lab.campaign import run_table1_campaign
 from repro.lab.fleet import run_fleet_campaign
-from repro.lab.measurement import VirtualTestbench
+from repro.lab.faults import FaultPlan
+from repro.lab.measurement import FleetBench
 from repro.lab.resilience import RetryPolicy
 from repro.lab.sanitizer import NULL_SANITIZER
 from repro.obs import Tracer
@@ -72,25 +73,29 @@ class TestPhaseHashes:
 
 def _traced_run(monkeypatch=None, diverge=False) -> TraceModel:
     if diverge:
-        original = VirtualTestbench._delivered_voltage
+        original = FleetBench._delivered_voltage
 
-        def skewed(self):
-            value = original(self)
+        def skewed(self, index):
+            value = original(self, index)
             # Strictly after the 2 h baseline: seq 0 still matches, the
             # first stress phase on chip-2 is where history forks.  Only
             # positive (stress) voltages are skewed — recovery biases
             # must stay non-positive to pass chip validation.
             if (
                 value > 0.0
-                and self.chip.chip_id == "chip-2"
-                and self.chip.elapsed > 7200.0
+                and self.fleet.chip_ids[index] == "chip-2"
+                and self.fleet.elapsed[index] > 7200.0
             ):
                 value += 1e-6
             return value
 
-        monkeypatch.setattr(VirtualTestbench, "_delivered_voltage", skewed)
+        monkeypatch.setattr(FleetBench, "_delivered_voltage", skewed)
     tracer = Tracer()
-    run_table1_campaign(seed=123, n_chips=2, tracer=tracer, sanitize=True)
+    # An empty fault plan routes every delivered value through the
+    # per-chip hook the skew patches, without changing a single bit.
+    run_table1_campaign(
+        seed=123, n_chips=2, tracer=tracer, sanitize=True, faults=FaultPlan()
+    )
     if monkeypatch is not None:
         monkeypatch.undo()
     return TraceModel.from_tracer(tracer)

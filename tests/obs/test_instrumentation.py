@@ -76,7 +76,9 @@ class TestCampaignSpans:
         tracer, __, __ = traced_campaign
         root = tracer.spans("campaign")[0]
         assert root.parent_id is None
-        assert set(root.attributes) == {"seed", "n_chips", "sim_advanced"}
+        assert set(root.attributes) == {
+            "seed", "n_chips", "fidelity", "shards", "sim_advanced"
+        }
         assert (root.attributes["seed"], root.attributes["n_chips"]) == (0, 1)
 
     def test_case_histograms_count_every_case(self, traced_campaign):
